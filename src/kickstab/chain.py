@@ -1,5 +1,11 @@
 """The controlled kicked process w^{k+1} = S w^k + Pi phi^{k+1}.
 
+Every trajectory is stepped by one kernel, ``propagate``: a chain's kicks
+are drawn in one ``sample_kicks`` call on its own stream, pushed through
+Pi once, and a block of chains is stepped together.  Kicks follow the
+sampler's group rule, so a chain's first k kicks are those of a k-step run
+on the same stream.
+
 Also provides the uncontrolled blow-up demonstration (no projection, full
 space) and the per-trajectory envelope certificate
 ||w^k|| <= gamma0^k ||w0|| + ||Pi|| eps_hat / (1 - gamma0), which is provable
@@ -9,20 +15,20 @@ violations beyond float roundoff.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 
 from .artifacts import hash_arrays
 from .errors import NotUnstable
-from .kicks import sample_kick
+from .kicks import sample_kicks
 
 __all__ = [
     "ChainConfig",
     "Trajectory",
     "step",
+    "propagate",
     "run_chain",
     "run_ensemble",
     "envelope_check",
@@ -52,8 +58,25 @@ class Trajectory:
 
 def step(S_mat, pi, law, w, rng) -> np.ndarray:
     """One transition: S w + Pi phi with a freshly sampled kick."""
-    phi = sample_kick(law, rng)
-    return S_mat @ w + pi.Pi_mat @ phi
+    return propagate(S_mat, pi.Pi_mat, w, sample_kicks(law, rng, 1))[1]
+
+
+def propagate(S_mat, B, w0, kicks) -> np.ndarray:
+    """States of w^{k+1} = S w^k + B phi^{k+1} from w0, for a block of chains.
+
+    kicks has shape (..., steps, d) and w0 broadcasts to (..., n); the
+    result has shape (..., steps+1, n).  The kicks are pushed through B in
+    one product, then each step advances the whole block at once.
+    """
+    kicks = np.asarray(kicks, dtype=float)
+    steps = kicks.shape[-2]
+    states = np.empty(kicks.shape[:-2] + (steps + 1, S_mat.shape[0]))
+    states[..., 0, :] = w0
+    np.matmul(kicks, B.T, out=states[..., 1:, :])
+    ST = S_mat.T
+    for k in range(steps):
+        states[..., k + 1, :] += states[..., k, :] @ ST
+    return states
 
 
 def run_chain(config, S_mat, pi, law, gamma0=None) -> Trajectory:
@@ -67,17 +90,8 @@ def run_chain(config, S_mat, pi, law, gamma0=None) -> Trajectory:
     if D.size and np.linalg.norm(D.T @ w0) >= 1e-10 * max(1.0, np.linalg.norm(w0)):
         raise ValueError("w0 must lie in X_sigma (adjoint residual too large)")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    n = len(w0)
-    states = np.empty((config.n_steps + 1, n))
-    states[0] = w0
-    kicks = np.empty((config.n_steps, n)) if config.record_kicks else None
-    w = w0
-    for k in range(config.n_steps):
-        phi = sample_kick(law, rng)
-        if kicks is not None:
-            kicks[k] = phi
-        w = S_mat @ w + pi.Pi_mat @ phi
-        states[k + 1] = w
+    kicks = sample_kicks(law, rng, config.n_steps)
+    states = propagate(S_mat, pi.Pi_mat, w0, kicks)
     norms = np.linalg.norm(states, axis=1)
     r0 = np.inf
     first_entry = None
@@ -93,42 +107,23 @@ def run_chain(config, S_mat, pi, law, gamma0=None) -> Trajectory:
         "tau": config.tau,
         "n_steps": config.n_steps,
     }
-    return Trajectory(states=states, norms=norms, kicks=kicks,
+    return Trajectory(states=states, norms=norms,
+                      kicks=kicks if config.record_kicks else None,
                       manifest=manifest, r0=r0, first_entry=first_entry)
 
 
-def _ensemble_block(S_mat, pi, law, w0, n_steps, seeds):
-    n = len(w0)
-    out = np.empty((len(seeds), n_steps + 1, n))
-    for c, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        w = w0.copy()
-        out[c, 0] = w
-        for k in range(n_steps):
-            phi = sample_kick(law, rng)
-            w = S_mat @ w + pi.Pi_mat @ phi
-            out[c, k + 1] = w
-    return out
-
-
-def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed, threads=1) -> np.ndarray:
+def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
     """States of n_chains independent trajectories, shape (chains, steps+1, n).
 
-    Chain c draws from a private stream spawned as child c of ``seed``; the
-    result is assembled in chain order, independent of thread scheduling.
+    Chain c draws its n_steps kicks in one ``sample_kicks`` call on a
+    private stream, spawned as child c of ``seed``.  A chain's trajectory
+    therefore does not depend on how many chains run beside it, and its
+    first k steps are those of a k-step run.
     """
-    w0 = np.asarray(w0, dtype=float)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = ss.spawn(n_chains)
-    threads = max(1, int(threads))
-    if threads == 1:
-        return _ensemble_block(S_mat, pi, law, w0, n_steps, seeds)
-    blocks = np.array_split(np.arange(n_chains), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(_ensemble_block, S_mat, pi, law, w0, n_steps,
-                            [seeds[i] for i in idx]) for idx in blocks if len(idx)]
-        parts = [f.result() for f in futs]
-    return np.concatenate(parts, axis=0)
+    kicks = np.stack([sample_kicks(law, np.random.default_rng(s), n_steps)
+                      for s in ss.spawn(n_chains)])
+    return propagate(S_mat, pi.Pi_mat, np.asarray(w0, dtype=float), kicks)
 
 
 def envelope_check(norms, w0_norm, gamma0, norm_Pi, eps_hat, tol=1e-9) -> dict:
@@ -174,12 +169,8 @@ def uncontrolled_demo(model, law, w0, n_steps, seed, tau):
         raise NotUnstable("no eigenvalue with negative real part")
     S = sla.expm(-tau * A)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    w = np.asarray(w0, dtype=float).copy()
-    states = np.empty((n_steps + 1, len(w)))
-    states[0] = w
-    for k in range(n_steps):
-        w = S @ w + sample_kick(law, rng)
-        states[k + 1] = w
+    kicks = sample_kicks(law, rng, n_steps)
+    states = propagate(S, np.eye(law.n), np.asarray(w0, dtype=float), kicks)
     norms = np.linalg.norm(states, axis=1)
     manifest = {"S_hash": hash_arrays(S), "seed": seed, "tau": tau,
                 "law_hash": hash_arrays(law.K, law.eps_hat)}

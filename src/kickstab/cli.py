@@ -74,10 +74,9 @@ _PREREQS = {
 class Pipeline:
     """Holds the config, derived components (built lazily), and artifact dir."""
 
-    def __init__(self, cfg: ExperimentConfig, out_dir, threads=None, seed_override=None):
+    def __init__(self, cfg: ExperimentConfig, out_dir, seed_override=None):
         self.cfg = cfg
         self.out = out_dir
-        self.threads = threads or os.cpu_count() or 1
         if seed_override is not None:
             cfg.run.seed = seed_override
             cfg.mixing.seed = seed_override + 1
@@ -146,7 +145,6 @@ class Pipeline:
         man = self._load_manifest()
         man["config_hash"] = self.config_hash()
         man["version"] = __version__
-        man["threads"] = self.threads
         man["stages"][stage] = {"artifacts": {os.path.basename(f): file_checksum(f)
                                               for f in files}}
         man["timings"][stage] = elapsed
@@ -218,7 +216,7 @@ class Pipeline:
         emit_series(pt, cols, rows)
 
         states = run_ensemble(S, pi, law, w0, cfg.run.n_chains, cfg.run.n_steps,
-                              cfg.run.seed, threads=self.threads)
+                              cfg.run.seed)
         norms = np.linalg.norm(states, axis=2)
         rep = envelope_check(norms, float(np.linalg.norm(w0)), gamma0, pi.norm_Pi, law.eps_hat)
         rep["n_chains"] = cfg.run.n_chains
@@ -322,8 +320,7 @@ class Pipeline:
         obs = make_observables(model.n, mix.n_linear, mix.n_radial,
                                seed=mix.obs_seed, radial_scale=mix.radial_scale)
         w0 = stable_state(dich, mix.w0_scale, cfg.run.w0_seed)
-        rep = mixing_decay(S, pi, law, w0, -w0, mix.n_chains, mix.n_steps, obs,
-                           mix.seed, threads=self.threads)
+        rep = mixing_decay(S, pi, law, w0, -w0, mix.n_chains, mix.n_steps, obs, mix.seed)
         pd = self.path("mixing_dk.csv")
         emit_series(pd, ["k", "d_k"], [[k, v] for k, v in enumerate(rep.d_k)])
         pj = self.path("mixing.json")
@@ -427,15 +424,13 @@ def main(argv=None) -> int:
                         help="pipeline stage to run ('all' runs every stage in order)")
     parser.add_argument("--config", required=True, help="experiment config (JSON)")
     parser.add_argument("--out", default=None, help="output directory (default: config output.dir)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="ensemble worker threads (default: hardware parallelism)")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="override the simulation seeds (model seeds unchanged)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         out = args.out or cfg.output.dir
-        pipe = Pipeline(cfg, out, threads=args.threads, seed_override=args.seed_override)
+        pipe = Pipeline(cfg, out, seed_override=args.seed_override)
         stages = STAGES if args.stage == "all" else (args.stage,)
         worst = 0
         for st in stages:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sstats
 
-from .chain import burn_in_floor, run_ensemble
-from .kicks import sample_kick
+from .chain import burn_in_floor, propagate, run_ensemble
+from .kicks import sample_kicks
 from .density import (
     QuadratureSpec,
     build_pi_decomposition,
@@ -104,15 +104,15 @@ class MixingReport:
         }
 
 
-def _ensemble_obs_means(S, pi, law, w0, n_chains, n_steps, seed_seq, observables, threads):
-    states = run_ensemble(S, pi, law, w0, n_chains, n_steps, seed_seq, threads)
+def _ensemble_obs_means(S, pi, law, w0, n_chains, n_steps, seed_seq, observables):
+    states = run_ensemble(S, pi, law, w0, n_chains, n_steps, seed_seq)
     vals = observables.evaluate(states.reshape(-1, states.shape[-1]))
     vals = vals.reshape(n_chains, n_steps + 1, observables.size)
     return vals.mean(axis=0)
 
 
 def mixing_decay(S, pi, law, w0_A, w0_B, n_chains, n_steps, observables,
-                 seed, threads=1) -> MixingReport:
+                 seed) -> MixingReport:
     """Dual-Lipschitz distance decay between two ensembles.
 
     d_k is the maximum over the observable set of the difference of
@@ -126,11 +126,11 @@ def mixing_decay(S, pi, law, w0_A, w0_B, n_chains, n_steps, observables,
         raise ValueError("n_chains must be at least 2")
     root = np.random.SeedSequence(seed)
     sA, sB, sN1, sN2 = root.spawn(4)
-    mA = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sA, observables, threads)
-    mB = _ensemble_obs_means(S, pi, law, w0_B, n_chains, n_steps, sB, observables, threads)
+    mA = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sA, observables)
+    mB = _ensemble_obs_means(S, pi, law, w0_B, n_chains, n_steps, sB, observables)
     d_k = np.max(np.abs(mA - mB), axis=1)
-    m1 = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sN1, observables, threads)
-    m2 = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sN2, observables, threads)
+    m1 = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sN1, observables)
+    m2 = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sN2, observables)
     d_null = np.max(np.abs(m1 - m2), axis=1)
     floor = float(np.mean(d_null[2:])) if len(d_null) > 2 else float(np.mean(d_null))
     above = np.nonzero(d_k > 3.0 * floor)[0]
@@ -172,24 +172,27 @@ def _batch_ci(series, n_batches=30, level=0.95):
     return mean, mean - tq * se, mean + tq * se
 
 
+def _projected_trajectory(S, pi, law, w0, n_steps, seed):
+    """One trajectory stepped by S composed with the projector onto X_sigma.
+
+    Identical dynamics on the invariant subspace, but float roundoff along
+    the unstable adjoint directions stays damped over 10^5-step horizons
+    instead of being amplified.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    S_eff = S @ pi.dichotomy.P_sigma
+    return propagate(S_eff, pi.Pi_mat, np.asarray(w0, dtype=float),
+                     sample_kicks(law, rng, n_steps))
+
+
 def slln_average(S, pi, law, w0, n_steps, observables, seed,
                  n_batches=30, checkpoints=None) -> dict:
     """Running averages along one trajectory with batch-means intervals.
 
-    The step matrix is composed with the orthogonal projector onto
-    X_sigma: identical dynamics on the invariant subspace, but float
-    roundoff along the unstable adjoint directions stays damped over
-    10^5-step horizons instead of being amplified.
+    The trajectory is stepped by S composed with the orthogonal projector
+    onto X_sigma (see ``_projected_trajectory``).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    S_eff = S @ pi.dichotomy.P_sigma
-    w = np.asarray(w0, dtype=float).copy()
-    n = len(w)
-    states = np.empty((n_steps + 1, n))
-    states[0] = w
-    for k in range(n_steps):
-        w = S_eff @ w + pi.Pi_mat @ sample_kick(law, rng)
-        states[k + 1] = w
+    states = _projected_trajectory(S, pi, law, w0, n_steps, seed)
     fv = observables.evaluate(states)
     if checkpoints is None:
         checkpoints = sorted({n_steps // 100, n_steps // 10, n_steps} - {0})
@@ -218,15 +221,7 @@ def stationary_stats(S, pi, law, w0, n_steps, burn_in, seed, gamma0=None) -> dic
         floor = burn_in_floor(law.eps_hat, float(np.linalg.norm(w0)), gamma0)
         if burn_in < floor:
             raise ValueError(f"burn_in {burn_in} below the transient floor {floor}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    S_eff = S @ pi.dichotomy.P_sigma  # same dynamics on X_sigma, drift-safe
-    w = w0.copy()
-    n = len(w)
-    states = np.empty((n_steps + 1, n))
-    states[0] = w
-    for k in range(n_steps):
-        w = S_eff @ w + pi.Pi_mat @ sample_kick(law, rng)
-        states[k + 1] = w
+    states = _projected_trajectory(S, pi, law, w0, n_steps, seed)
     post = states[burn_in:]
     norms = np.linalg.norm(post, axis=1)
     counts, edges = np.histogram(norms, bins=40)

@@ -1,15 +1,24 @@
 """Truncated-Gaussian kick law: sampling, support ellipsoid, projected density.
 
 The kick distribution is N(0, K) conditioned on the ball ||phi|| <= eps_hat,
-sampled by rejection.  The normalization constant 1/c_hat = G(B_eps) is
-estimated by Monte Carlo (with standard error) and, for subspaces of
-dimension <= 3, computed by quadrature through the distribution of the
-Gaussian quadratic form sum lambda_i z_i^2.
+sampled by rejection in groups: a kick draws a group of 4 proposals and
+keeps the first one inside the ball, and a group with none inside is
+followed by one twice its size (at most 65536) until one is.  The rest of
+the accepting group is discarded.  ``sample_kicks`` draws many kicks in one
+call and returns exactly the kicks, and leaves the generator in exactly the
+state, of as many successive ``sample_kick`` calls; so the first k kicks of
+a stream do not depend on how many are drawn with them.
+
+The normalization constant 1/c_hat = G(B_eps) is estimated by Monte Carlo
+(with standard error) and, for subspaces of dimension <= 3, computed by
+quadrature through the distribution of the Gaussian quadratic form
+sum lambda_i z_i^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -21,6 +30,7 @@ __all__ = [
     "make_kick_law",
     "diag_correlation",
     "sample_kick",
+    "sample_kicks",
     "ball_mass",
     "estimate_ball_mass_mc",
     "support_ellipsoid_membership",
@@ -29,6 +39,9 @@ __all__ = [
 
 REJECTION_WINDOW = 1_000_000
 REJECTION_RATE_FLOOR = 1e-4
+_GROUP_ROWS = 4            # proposals in a kick's first group
+_MAX_GROUP_ROWS = 65536    # cap of the doubling group size
+_REFILL_ROWS = 1 << 16     # proposals drawn per refill; bounds the buffer
 
 
 def _key_int(k) -> int:
@@ -40,21 +53,30 @@ def _key_int(k) -> int:
     return int.from_bytes(hashlib.sha256(str(k).encode()).digest()[:4], "big")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KickLaw:
-    """Correlation matrix, truncation radius, and sampling bookkeeping."""
+    """Correlation matrix, truncation radius and stream spec; immutable."""
 
     K: np.ndarray
     eps_hat: float
     chol_K: np.ndarray
-    norm_const_est: tuple  # (ball mass estimate, standard error)
     rng_spec: tuple        # (seed, stream id)
-    _window_draws: int = field(default=0, repr=False)
-    _window_accepts: int = field(default=0, repr=False)
+    norm_samples: int = 200_000
 
     @property
     def n(self) -> int:
         return self.K.shape[0]
+
+    @cached_property
+    def norm_const_est(self) -> tuple:
+        """(ball mass estimate, standard error), estimated on first read.
+
+        Drawn from the law's "norm-const" stream with ``norm_samples``
+        samples; (nan, nan) when eps_hat = 0 or norm_samples = 0.
+        """
+        if self.eps_hat > 0 and self.norm_samples:
+            return estimate_ball_mass_mc(self, self.norm_samples, self.stream("norm-const"))
+        return (np.nan, np.nan)
 
     def stream(self, *key) -> np.random.Generator:
         """Independent generator derived from (seed, stream id, *key)."""
@@ -71,7 +93,7 @@ def diag_correlation(n, scale=1.0, power=2.0) -> np.ndarray:
 
 
 def make_kick_law(K, eps_hat, seed, stream_id=0, norm_samples=200_000) -> KickLaw:
-    """Validate K (symmetric positive definite) and estimate the ball mass."""
+    """Validate K (symmetric positive definite); the ball mass estimate is lazy."""
     K = np.asarray(K, dtype=float)
     if eps_hat < 0:
         raise ValueError("eps_hat must be nonnegative")
@@ -82,12 +104,8 @@ def make_kick_law(K, eps_hat, seed, stream_id=0, norm_samples=200_000) -> KickLa
     if evals.min() <= 0:
         raise ValueError("K must be positive definite")
     chol = np.linalg.cholesky(K)
-    law = KickLaw(K=K, eps_hat=float(eps_hat), chol_K=chol,
-                  norm_const_est=(np.nan, np.nan), rng_spec=(int(seed), int(stream_id)))
-    if eps_hat > 0 and norm_samples:
-        est, se = estimate_ball_mass_mc(law, norm_samples, law.stream("norm-const"))
-        law.norm_const_est = (est, se)
-    return law
+    return KickLaw(K=K, eps_hat=float(eps_hat), chol_K=chol,
+                   rng_spec=(int(seed), int(stream_id)), norm_samples=int(norm_samples))
 
 
 def estimate_ball_mass_mc(law, n_samples, rng):
@@ -141,39 +159,84 @@ def ball_mass(cov_eigs, radius, n_nodes=160) -> float:
     return float(np.clip(F(lam.size - 1, np.array([q]))[0], 0.0, 1.0))
 
 
-def _check_rejection_window(law):
-    if law._window_draws >= REJECTION_WINDOW:
-        rate = law._window_accepts / law._window_draws
-        if rate < REJECTION_RATE_FLOOR:
-            raise RejectionCap(
-                f"acceptance rate {rate:.2e} below {REJECTION_RATE_FLOOR} over "
-                f"{law._window_draws} draws; eps_hat too small relative to K")
-        law._window_draws = 0
-        law._window_accepts = 0
+def sample_kicks(law, rng, count) -> np.ndarray:
+    """``count`` samples of N(0, K) conditioned on the ball, shape (count, n).
+
+    Bit for bit the rows, and the generator state afterwards, of ``count``
+    successive ``sample_kick(law, rng)`` calls (the group rule of the module
+    docstring), so a call's kicks are a prefix of any longer call's on the
+    same stream.  Every kick consumes at least 4 proposals, so drawing the
+    rest of the open group plus 4 rows per later kick never draws ahead;
+    runs of accepting 4-row groups are resolved at once, and a group that
+    misses is stepped through its doubled successors on its own.  Each
+    group is transformed by its own product with chol(K)^T, as a single
+    draw would be.  eps_hat = 0 gives zero kicks and draws nothing.
+    Raises RejectionCap when, after at least REJECTION_WINDOW proposals of
+    this call, its acceptance rate is below REJECTION_RATE_FLOOR.
+    """
+    n = law.n
+    out = np.zeros((count, n))
+    if count == 0 or law.eps_hat == 0.0:
+        return out
+    eps2 = law.eps_hat ** 2
+    LT = law.chol_K.T
+
+    def inside(z):
+        return np.einsum("ij,ij->i", z, z) <= eps2
+
+    x = np.empty((0, n))   # drawn proposals; x[:p] are consumed
+    p = 0
+    spent = 0              # proposals consumed before x[0]
+    z = None               # 4-row group products of x[zs:], with their verdicts
+    batch = _GROUP_ROWS    # size of the open group
+    done = 0
+    while done < count:
+        if len(x) < p + batch:
+            stop = p + batch + _GROUP_ROWS * (count - done - 1)
+            rows = max(p + batch, min(stop, p + _REFILL_ROWS)) - len(x)
+            x = np.concatenate([x[p:], rng.standard_normal((rows, n))])
+            spent += p
+            p, z = 0, None
+        if batch == _GROUP_ROWS:
+            if z is None:
+                zs = p
+                z = (x[zs:].reshape(-1, _GROUP_ROWS, n) @ LT).reshape(-1, n)
+                ok = inside(z).reshape(-1, _GROUP_ROWS)
+                first = np.argmax(ok, axis=1)
+                misses = np.flatnonzero(~ok.any(axis=1))
+            b0 = (p - zs) // _GROUP_ROWS
+            b1 = min(len(ok), b0 + count - done)
+            i = np.searchsorted(misses, b0)
+            miss = i < len(misses) and misses[i] < b1
+            stop_b = int(misses[i]) if miss else b1
+            blocks = np.arange(b0, stop_b)
+            out[done:done + len(blocks)] = z[_GROUP_ROWS * blocks + first[blocks]]
+            done += len(blocks)
+            p += _GROUP_ROWS * len(blocks)
+            if miss:
+                p += _GROUP_ROWS
+                batch = 2 * _GROUP_ROWS
+        else:
+            zg = x[p:p + batch] @ LT
+            ok_g = inside(zg)
+            p += batch
+            if ok_g.any():
+                out[done] = zg[np.argmax(ok_g)]
+                done += 1
+                batch = _GROUP_ROWS
+            else:
+                batch = min(batch * 2, _MAX_GROUP_ROWS)
+            draws = spent + p
+            if draws >= REJECTION_WINDOW and done < REJECTION_RATE_FLOOR * draws:
+                raise RejectionCap(
+                    f"acceptance rate {done / draws:.2e} below {REJECTION_RATE_FLOOR} over "
+                    f"{draws} draws; eps_hat too small relative to K")
+    return out
 
 
 def sample_kick(law, rng) -> np.ndarray:
-    """One sample of N(0, K) conditioned on the ball, by rejection.
-
-    Deterministic given the generator state; eps_hat = 0 degenerates to the
-    zero kick.  Raises RejectionCap when the windowed acceptance rate falls
-    below the floor.
-    """
-    if law.eps_hat == 0.0:
-        return np.zeros(law.n)
-    eps2 = law.eps_hat ** 2
-    batch = 4
-    while True:
-        z = rng.standard_normal((batch, law.n)) @ law.chol_K.T
-        ok = np.einsum("ij,ij->i", z, z) <= eps2
-        law._window_draws += batch
-        hit = int(np.argmax(ok)) if ok.any() else -1
-        if hit >= 0:
-            law._window_accepts += 1
-            _check_rejection_window(law)
-            return z[hit]
-        _check_rejection_window(law)
-        batch = min(batch * 2, 65536)
+    """One sample of N(0, K) conditioned on the ball; see ``sample_kicks``."""
+    return sample_kicks(law, rng, 1)[0]
 
 
 def support_ellipsoid_membership(alpha_op, eps_hat, x) -> bool:

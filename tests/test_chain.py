@@ -16,7 +16,7 @@ from kickstab.chain import (
     uncontrolled_demo,
 )
 from kickstab.errors import NotUnstable
-from kickstab.kicks import make_kick_law
+from kickstab.kicks import make_kick_law, sample_kicks
 from tests.conftest import REF
 
 
@@ -96,12 +96,22 @@ def test_envelope_invalid_certificate_flagged():
     assert rep["n_violations"] is None
 
 
-def test_ensemble_thread_count_invariant(ref_S, ref_pi, ref_law, ref_kick_matrix, ref_w0):
-    s1 = run_ensemble(ref_S, ref_pi, ref_law, ref_w0, 8, 20, seed=5, threads=1)
-    law2 = make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
-                         norm_samples=0)
-    s2 = run_ensemble(ref_S, ref_pi, law2, ref_w0, 8, 20, seed=5, threads=2)
-    assert np.array_equal(s1, s2)
+def test_ensemble_stream_contract(ref_S, ref_pi, ref_law, ref_kick_matrix, ref_w0):
+    # chain c draws from child c of the seed: a chain does not depend on
+    # how many chains run beside it
+    s8 = run_ensemble(ref_S, ref_pi, ref_law, ref_w0, 8, 20, seed=5)
+    s3 = run_ensemble(ref_S, ref_pi, ref_law, ref_w0, 3, 20, seed=5)
+    assert np.array_equal(s8[:3], s3)
+    # the law holds no sampling state: one that has drawn kicks gives the
+    # same ensemble as a fresh one
+    fresh = make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
+                          norm_samples=0)
+    assert np.array_equal(run_ensemble(ref_S, ref_pi, fresh, ref_w0, 8, 20, seed=5), s8)
+    # a single chain's kicks are one bulk draw on its seed's stream
+    cfg = ChainConfig(tau=2.0, n_steps=40, w0=ref_w0, seed=9, record_kicks=True)
+    traj = run_chain(cfg, ref_S, ref_pi, ref_law)
+    rng = np.random.default_rng(np.random.SeedSequence(9))
+    assert np.array_equal(traj.kicks, sample_kicks(ref_law, rng, 40))
 
 
 def test_uncontrolled_requires_instability(ref_law):

@@ -116,8 +116,8 @@ def test_full_pipeline_and_determinism(tmp_path):
     path = small_config(tmp_path)
     out1 = os.path.join(tmp_path, "out1")
     out2 = os.path.join(tmp_path, "out2")
-    assert main(["all", "--config", path, "--out", out1, "--threads", "2"]) == 0
-    assert main(["all", "--config", path, "--out", out2, "--threads", "2"]) == 0
+    assert main(["all", "--config", path, "--out", out1]) == 0
+    assert main(["all", "--config", path, "--out", out2]) == 0
     man1 = json.load(open(os.path.join(out1, "manifest.json")))
     man2 = json.load(open(os.path.join(out2, "manifest.json")))
     a1 = {s: v["artifacts"] for s, v in man1["stages"].items()}

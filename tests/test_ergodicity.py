@@ -100,8 +100,8 @@ def test_mixing_same_start_is_noise(mix_S, ref_pi, ref_kick_matrix, ref_dichotom
     root = np.random.SeedSequence(99)
     sA, sB = root.spawn(2)
     from kickstab.ergodicity import _ensemble_obs_means
-    mA = _ensemble_obs_means(mix_S, ref_pi, law, w0, 200, 20, sA, observables, 1)
-    mB = _ensemble_obs_means(mix_S, ref_pi, law, w0, 200, 20, sB, observables, 1)
+    mA = _ensemble_obs_means(mix_S, ref_pi, law, w0, 200, 20, sA, observables)
+    mB = _ensemble_obs_means(mix_S, ref_pi, law, w0, 200, 20, sB, observables)
     # per-observable MC error of the difference of means
     law2 = fresh_law(ref_kick_matrix)
     states = run_ensemble(mix_S, ref_pi, law2, w0, 200, 20, np.random.SeedSequence(98))
@@ -128,7 +128,7 @@ def test_mixing_reference_fit(mix_S, ref_pi, ref_kick_matrix, ref_dichotomy,
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     rep = mixing_decay(mix_S, ref_pi, law, w0, -w0, 500, 100, observables,
-                       seed=21, threads=2)
+                       seed=21)
     assert rep.conclusive
     assert rep.gamma_fit is not None and rep.gamma_fit < 1.0
     assert rep.r2 > 0.9
@@ -143,7 +143,7 @@ def test_mixing_report_bitwise_reproducible(mix_S, ref_pi, ref_kick_matrix,
     for _ in range(2):
         law = fresh_law(ref_kick_matrix)
         reps.append(mixing_decay(mix_S, ref_pi, law, w0, -w0, 60, 30, observables,
-                                 seed=22, threads=2))
+                                 seed=22))
     assert canonical_json(reps[0].to_json_dict()) == canonical_json(reps[1].to_json_dict())
 
 
@@ -232,7 +232,7 @@ def test_stationary_covariance_matches_lyapunov(ref_model, ref_S, ref_pi,
     Sigma = solve_discrete_lyapunov(T, Q)
     nrep, nsteps, burn = 24, 600, 40
     states = run_ensemble(ref_S, ref_pi, law, np.zeros(REF["n"]), nrep, nsteps,
-                          seed=41, threads=2)
+                          seed=41)
     covs = np.array([np.cov(states[c, burn:, :].T, ddof=1) for c in range(nrep)])
     cmean = covs.mean(axis=0)
     cse = covs.std(axis=0, ddof=1) / np.sqrt(nrep)
@@ -243,7 +243,7 @@ def test_stationary_covariance_matches_lyapunov(ref_model, ref_S, ref_pi,
 def test_stationarity_energy_distance(ref_S, ref_pi, ref_kick_matrix, ref_dichotomy):
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
-    states = run_ensemble(ref_S, ref_pi, law, w0, 400, 60, seed=77, threads=2)
+    states = run_ensemble(ref_S, ref_pi, law, w0, 400, 60, seed=77)
     stat, p = energy_distance_test(states[:200, 40, :], states[:200, 50, :],
                                    n_permutations=200, seed=3)
     assert p > 0.01

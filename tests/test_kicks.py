@@ -1,5 +1,7 @@
 """Truncated-Gaussian law: sampling, ball mass, ellipsoid, projected density."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,7 @@ from kickstab.kicks import (
     make_kick_law,
     qnu_density,
     sample_kick,
+    sample_kicks,
     support_ellipsoid_membership,
 )
 
@@ -64,6 +67,63 @@ def test_rejection_cap_triggers():
     law = make_kick_law(np.eye(50), 1e-6, seed=3, norm_samples=0)
     with pytest.raises(RejectionCap):
         sample_kick(law, law.stream(0))
+
+
+def _reference_kick(law, rng):
+    # the group rule drawn one group at a time: 4 rows, doubled on a miss
+    batch = 4
+    while True:
+        z = rng.standard_normal((batch, law.n)) @ law.chol_K.T
+        ok = np.einsum("ij,ij->i", z, z) <= law.eps_hat ** 2
+        if ok.any():
+            return z[np.argmax(ok)]
+        batch = min(batch * 2, 65536)
+
+
+def _bulk_equals_repeated(law, count):
+    rng_bulk, rng_one, rng_ref = law.stream(4), law.stream(4), law.stream(4)
+    bulk = sample_kicks(law, rng_bulk, count)
+    one = np.array([sample_kick(law, rng_one) for _ in range(count)])
+    ref = np.array([_reference_kick(law, rng_ref) for _ in range(count)])
+    assert np.array_equal(bulk, one)
+    assert np.array_equal(bulk, ref)
+    assert rng_bulk.bit_generator.state == rng_one.bit_generator.state
+    assert rng_bulk.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_sample_kicks_equals_repeated_sample_kick(ref_law):
+    # acceptance ~ 0.66: nearly every kick comes from its first 4-row group
+    _bulk_equals_repeated(ref_law, 3000)
+    # at n = 50 one large product with chol(K)^T can round differently from
+    # per-group products; the kicks must still be those of single draws
+    A = np.random.default_rng(0).standard_normal((50, 50))
+    wide = make_kick_law(A @ A.T / 50 + 0.5 * np.eye(50), 8.7, seed=2, norm_samples=0)
+    _bulk_equals_repeated(wide, 500)
+
+
+def test_sample_kicks_equals_repeated_with_doubled_groups():
+    # acceptance P(chi2_5 <= 1) ~ 0.037: most kicks need doubled groups
+    law = make_kick_law(np.eye(5), 1.0, seed=8, norm_samples=0)
+    _bulk_equals_repeated(law, 400)
+
+
+def test_sample_kicks_empty_and_degenerate():
+    law = make_kick_law(np.eye(3), 0.5, seed=0, norm_samples=0)
+    assert sample_kicks(law, law.stream(0), 0).shape == (0, 3)
+    law0 = make_kick_law(np.eye(3), 0.0, seed=0, norm_samples=0)
+    assert np.array_equal(sample_kicks(law0, law0.stream(0), 5), np.zeros((5, 3)))
+
+
+def test_sample_kicks_rejection_cap():
+    law = make_kick_law(np.eye(50), 1e-6, seed=3, norm_samples=0)
+    with pytest.raises(RejectionCap):
+        sample_kicks(law, law.stream(0), 3)
+
+
+def test_kick_law_is_frozen():
+    law = make_kick_law(np.eye(3), 0.5, seed=0, norm_samples=0)
+    with pytest.raises(FrozenInstanceError):
+        law.eps_hat = 1.0
 
 
 def test_sign_symmetry():
