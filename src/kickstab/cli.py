@@ -32,6 +32,7 @@ from .density import (
     density_mass,
     mc_density_oracle,
     projected_law,
+    support_grid,
 )
 from .ergodicity import (
     alpha_from_projection,
@@ -265,22 +266,13 @@ class Pipeline:
             K_proj = np.eye(alpha.shape[0] + alpha.shape[1])
         dec = build_pi_decomposition(alpha)
         law = projected_law(K_proj, cfg.kick.eps_hat)
-        quad = QuadratureSpec(radial=cfg.density.radial, angular=cfg.density.angular,
-                              mc_fallback=cfg.density.mc_fallback)
+        quad = QuadratureSpec(radial=cfg.density.radial, angular=cfg.density.angular)
 
         files = []
         doc = {"m": dec.m, "nm": dec.nm, "s": dec.s, "J": dec.J,
                "mu": dec.mu.tolist()}
         if dec.nm <= 2 and dec.m <= 3:
-            Minv = np.linalg.inv(dec.support_quadform())
-            half = law.eps * np.sqrt(np.diag(Minv))
-            g = cfg.density.grid_points
-            if dec.nm == 1:
-                xs = (np.linspace(-half[0], half[0], g, endpoint=False) + half[0] / g)[:, None]
-            else:
-                axes = [np.linspace(-h, h, g, endpoint=False) + h / g for h in half]
-                mesh = np.meshgrid(*axes, indexing="ij")
-                xs = np.stack([mm.ravel() for mm in mesh], axis=1)
+            xs, _ = support_grid(dec, law.eps, cfg.density.grid_points)
             P = density_batch(dec, law, xs, quad)
             pg = self.path("density_grid.csv")
             emit_series(pg, [f"x{i+1}" for i in range(dec.nm)] + ["P"],

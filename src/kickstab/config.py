@@ -70,7 +70,6 @@ class DensitySection:
     radial: int = 64
     angular: int = 256
     grid_points: int = 96
-    mc_fallback: bool = True
     probe_points: int = 5
     mc_oracle_samples: int = 400_000
 

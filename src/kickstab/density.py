@@ -9,9 +9,12 @@ density is the slice integral
 where g is the Gaussian density of the projected law, R maps slice/offset
 coordinates to the orthonormal eigenbasis b_1..b_n adapted to alpha, and
 J = prod_i (1 + ||alpha b_i||^2)^{-1/2} = det R^T is the change-of-variables
-Jacobian.  Slice centers and radii, the boundary Lagrange step, the m/2
-boundary exponent probe, the first variation, and the total-variation
-Lipschitz ratio all live here.
+Jacobian.  c_hat is exact in any dimension (``kicks.ball_mass``).  One kernel
+evaluates the Gaussian over a block of slices and unit-ball nodes; the
+density, its mass and the analytic first variation all use it.  Slice
+centers and radii, the boundary Lagrange step, the m/2 boundary exponent
+probe, the first variation, and the total-variation Lipschitz ratio all
+live here.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "density_P",
     "density_batch",
     "density_mass",
+    "support_grid",
     "mc_density_oracle",
     "lagrange_boundary_step",
     "boundary_exponent_probe",
@@ -54,6 +58,8 @@ S_THRESHOLD = 1e-10
 # and trapezoid nodes in angle; an even angle count cancels the odd-in-|y| modes
 MASS_NODES = 8
 MASS_ANGLES = 16
+# (points x nodes) entries of one slice-kernel block; bounds density_batch's memory
+BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,7 @@ class QuadratureSpec:
     radial: int = 64
     angular: int = 256
     polar: int = 32
-    mc_fallback: bool = False
-    mc_nodes: int = 20_000
+    mc_nodes: int = 20_000      # Monte Carlo slice nodes for m > 3 (and TV points for nm > 2)
     grid_1d: int = 4096
     grid_2d: int = 192
 
@@ -169,22 +174,11 @@ def build_pi_decomposition(alpha) -> PiDecomposition:
                            theta_basis=theta, R=R, J=J, alpha_b_norms=norms)
 
 
-def projected_law(K, eps, c_hat=None, mc_samples=400_000, seed=0) -> ProjectedLaw:
-    """Normalize the truncated Gaussian: c_hat = 1 / mass of the eps-ball.
-
-    Quadrature for dimension <= 3, Monte Carlo fallback above.
-    """
+def projected_law(K, eps, c_hat=None) -> ProjectedLaw:
+    """Normalize the truncated Gaussian: c_hat = 1 / mass of the eps-ball (exact)."""
     K = np.asarray(K, dtype=float)
     if c_hat is None:
-        evals = np.linalg.eigvalsh(K)
-        if K.shape[0] <= 3:
-            c_hat = 1.0 / ball_mass(evals, eps)
-        else:
-            rng = np.random.default_rng(seed)
-            L = np.linalg.cholesky(K)
-            z = rng.standard_normal((mc_samples, K.shape[0])) @ L.T
-            p = float(np.mean(np.einsum("ij,ij->i", z, z) <= eps ** 2))
-            c_hat = 1.0 / p
+        c_hat = 1.0 / ball_mass(np.linalg.eigvalsh(K), eps)
     return ProjectedLaw(K=K, eps=float(eps), c_hat=float(c_hat))
 
 
@@ -206,14 +200,41 @@ def slice_geometry(dec, eps, x) -> SliceGeometry:
                          center=np.concatenate([uhat, vhat]), radius=r)
 
 
-def _gauss_in_b_coords(dec, law):
+def _slice_precision(dec, law):
+    """Precision Q = R Kb^-1 R^T in (theta, offset) coordinates z, and the log normalizer."""
     Kb = dec.b_basis.T @ law.K @ dec.b_basis
-    Kb_inv = np.linalg.inv(Kb)
     sign, logdet = np.linalg.slogdet(Kb)
     if sign <= 0:
         raise ValueError("projected covariance must be positive definite")
     lognorm = -0.5 * (dec.n * np.log(2 * np.pi) + logdet)
-    return Kb_inv, lognorm
+    return dec.R @ np.linalg.inv(Kb) @ dec.R.T, lognorm
+
+
+def _slice_coords(dec, eps, xs):
+    """Per row of xs: slice center z_c = (w_c, B2^T x) in (theta, offset) coords, squared radius."""
+    a = dec.alpha
+    U = xs @ np.linalg.solve(np.eye(dec.m) + a.T @ a, a.T).T   # (N, m)
+    V = xs - U @ a.T                                          # (N, nm)
+    rad2 = eps ** 2 - np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", V, V)
+    w_c = np.concatenate([U, -U @ a.T], axis=1) @ dec.theta_slice
+    return np.concatenate([w_c, xs @ dec.B2], axis=1), rad2
+
+
+def _slice_gauss(Q, lognorm, zc, r, nodes):
+    """Gaussian density at z = z_c + r (nu, 0), per slice (row) and node nu: (points, nodes).
+
+    The exponent expands over the fiber block as
+    z_c^T Q z_c + 2 r (Q z_c)_{:m} . nu + r^2 nu^T Q_mm nu,
+    so the whole block is one (points x (m+2)) by ((m+2) x nodes) product.
+    """
+    m = nodes.shape[1]
+    Qz = zc @ Q
+    coef = np.column_stack([-r[:, None] * Qz[:, :m], -0.5 * r ** 2,
+                            lognorm - 0.5 * np.einsum("ij,ij->i", Qz, zc)])
+    basis = np.column_stack([nodes, np.einsum("ij,jk,ik->i", nodes, Q[:m, :m], nodes),
+                             np.ones(len(nodes))])
+    block = coef @ basis.T
+    return np.exp(block, out=block)
 
 
 def gamma_integrand(dec, K_hat, w, x) -> float:
@@ -240,9 +261,10 @@ def gamma_integrand(dec, K_hat, w, x) -> float:
 
 
 def _unit_ball_rule(m, quad):
-    """Nodes/weights integrating over the unit ball in R^m exactly enough.
+    """Nodes/weights integrating over the unit ball in R^m.
 
     For m = 0 the slice is a single point: one node at the origin, weight 1.
+    Product Gauss rules for m <= 3, Monte Carlo nodes above.
     """
     if m == 0:
         return np.zeros((1, 0)), np.ones(1)
@@ -273,70 +295,35 @@ def _unit_ball_rule(m, quad):
         nodes = (u[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         weights = (wu[:, None] * u[:, None] ** 2 * wdir[None, :]).ravel()
         return nodes, weights
-    raise QuadratureUnsupported(f"slice quadrature implemented for m <= 3, got m={m}")
+    # m > 3: quad.mc_nodes uniform points of the ball (fixed seed), equal volume weights
+    rng = np.random.default_rng(17)
+    raw = rng.standard_normal((quad.mc_nodes, m))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    nodes = raw * (rng.uniform(0, 1, quad.mc_nodes) ** (1.0 / m))[:, None]
+    vol = np.pi ** (m / 2) / math_gamma(m / 2 + 1)
+    return nodes, np.full(quad.mc_nodes, vol / quad.mc_nodes)
 
 
 def density_batch(dec, law, xs, quad=DEFAULT_QUAD) -> np.ndarray:
-    """Vectorized pushforward density at rows of xs."""
+    """Vectorized pushforward density at rows of xs.
+
+    Slices are integrated in blocks of at most BLOCK_ENTRIES (points x nodes)
+    entries, so memory does not grow with the number of points.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    N = xs.shape[0]
-    a = dec.alpha
-    m, nm = dec.m, dec.nm
-    if m > 3:
-        if not quad.mc_fallback:
-            raise QuadratureUnsupported(
-                f"m={m} needs the Monte Carlo fallback (quad.mc_fallback=True)")
-        return _density_batch_mc(dec, law, xs, quad)
-    G1 = np.linalg.solve(np.eye(m) + a.T @ a, a.T)    # m x nm
-    U = xs @ G1.T                                     # (N, m)
-    Vres = xs - U @ a.T                               # (N, nm)
-    rad2 = law.eps ** 2 - np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", Vres, Vres)
-    out = np.zeros(N)
-    inside = rad2 > 0
-    if not np.any(inside):
-        return out
-    r = np.sqrt(rad2[inside])
-    Ui = U[inside]
-    # slice center, fiber part, in theta coordinates
-    w_full = np.concatenate([Ui, -Ui @ a.T], axis=1)  # (Ni, n)
-    w_c = w_full @ dec.theta_slice                    # (Ni, m)
-    z_x = xs[inside] @ dec.B2                         # (Ni, nm)
-    nodes, weights = _unit_ball_rule(m, quad)
-    W = w_c[:, None, :] + r[:, None, None] * nodes[None, :, :]
-    Z = np.concatenate([W, np.broadcast_to(z_x[:, None, :], (len(r), len(weights), nm))], axis=2)
-    Y = Z @ dec.R                                     # y = R^T z, row convention
-    Kb_inv, lognorm = _gauss_in_b_coords(dec, law)
-    qf = np.einsum("abi,ij,abj->ab", Y, Kb_inv, Y)
-    G = np.exp(lognorm - 0.5 * qf)
-    out[inside] = law.c_hat * dec.J * (r ** m) * (G @ weights)
-    return out
-
-
-def _density_batch_mc(dec, law, xs, quad):
-    """Monte Carlo slice integration for fiber dimension m > 3."""
-    rng = np.random.default_rng(17)
-    a = dec.alpha
-    m = dec.m
-    raw = rng.standard_normal((quad.mc_nodes, m))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    radii = rng.uniform(0, 1, quad.mc_nodes) ** (1.0 / m)
-    nodes = raw * radii[:, None]
-    vol = np.pi ** (m / 2) / math_gamma(m / 2 + 1)
-    weights = np.full(quad.mc_nodes, vol / quad.mc_nodes)
+    zc, rad2 = _slice_coords(dec, law.eps, xs)
     out = np.zeros(xs.shape[0])
-    Kb_inv, lognorm = _gauss_in_b_coords(dec, law)
-    for i, x in enumerate(xs):
-        geo = slice_geometry(dec, law.eps, x)
-        if geo.classification != "interior":
-            continue
-        uhat = geo.center[:m]
-        w_c = dec.theta_slice.T @ np.concatenate([uhat, -a @ uhat])
-        W = w_c[None, :] + geo.radius * nodes
-        Z = np.concatenate([W, np.tile(dec.B2.T @ x, (quad.mc_nodes, 1))], axis=1)
-        Y = Z @ dec.R
-        qf = np.einsum("ai,ij,aj->a", Y, Kb_inv, Y)
-        out[i] = law.c_hat * dec.J * geo.radius ** m * \
-            float(np.exp(lognorm - 0.5 * qf) @ weights)
+    inside = np.flatnonzero(rad2 > 0)
+    if not len(inside):
+        return out
+    nodes, weights = _unit_ball_rule(dec.m, quad)
+    Q, lognorm = _slice_precision(dec, law)
+    step = max(1, BLOCK_ENTRIES // len(weights))
+    for lo in range(0, len(inside), step):
+        idx = inside[lo:lo + step]
+        r = np.sqrt(rad2[idx])
+        G = _slice_gauss(Q, lognorm, zc[idx], r, nodes)
+        out[idx] = law.c_hat * dec.J * (r ** dec.m) * (G @ weights)
     return out
 
 
@@ -506,23 +493,16 @@ def boundary_exponent_probe(dec, law, x_boundary, h_norms=None, quad=DEFAULT_QUA
 def _variation_analytic(dec, law, x, h, quad):
     m = dec.m
     a = dec.alpha
-    geo = slice_geometry(dec, law.eps, x)
-    r = geo.radius
-    uhat = geo.center[:m]
-    w_c = dec.theta_slice.T @ np.concatenate([uhat, -a @ uhat])
-    Kb_inv, lognorm = _gauss_in_b_coords(dec, law)
-    zx = dec.B2.T @ x
+    zc, rad2 = _slice_coords(dec, law.eps, x[None, :])
+    radius = np.sqrt(rad2)
+    r = float(radius[0])
+    Q, lognorm = _slice_precision(dec, law)
+    scale = law.c_hat * dec.J
     G1 = np.linalg.solve(np.eye(m) + a.T @ a, a.T)
     uh = G1 @ h
     dw_theta = dec.theta_slice.T @ np.concatenate([uh, -a @ uh])
     rho = float(np.linalg.norm(dw_theta))
     Mx_h = float(x @ dec.support_quadform() @ h)
-
-    def gamma_at(Wpts):
-        Z = np.concatenate([Wpts, np.tile(zx, (len(Wpts), 1))], axis=1)
-        Y = Z @ dec.R
-        qf = np.einsum("ai,ij,aj->a", Y, Kb_inv, Y)
-        return law.c_hat * dec.J * np.exp(lognorm - 0.5 * qf)
 
     # boundary term over the unit sphere of the slice
     if m == 1:
@@ -536,8 +516,7 @@ def _variation_analytic(dec, law, x, h, quad):
     else:
         raise QuadratureUnsupported(
             f"analytic first variation implemented for m in {{1, 2}}, got m={m}")
-    b_pts = w_c[None, :] + r * omegas
-    gv = gamma_at(b_pts)
+    gv = scale * _slice_gauss(Q, lognorm, zc, radius, omegas)[0]
     if rho > 0:
         cos_psi = omegas @ (dw_theta / rho)
     else:
@@ -545,17 +524,12 @@ def _variation_analytic(dec, law, x, h, quad):
     psi_term = r ** (m - 1) * (rho * cos_psi - Mx_h / r)
     term1 = float(np.sum(gv * psi_term * sphere_w))
 
-    # interior term: gradient of Gamma against h over the slice disk
+    # interior term: gradient of Gamma against h over the slice disk; with
+    # z = z_c + r (nu, 0), d log g / dz . (0, B2^T h) = -z . (Q[:, m:] B2^T h)
     nodes, weights = _unit_ball_rule(m, quad)
-    Wpts = w_c[None, :] + r * nodes
-    Z = np.concatenate([Wpts, np.tile(zx, (len(Wpts), 1))], axis=1)
-    Y = Z @ dec.R
-    qf = np.einsum("ai,ij,aj->a", Y, Kb_inv, Y)
-    gvals = law.c_hat * dec.J * np.exp(lognorm - 0.5 * qf)
-    grad_y = -(Y @ Kb_inv)                       # d log g / dy
-    grad_z = grad_y @ dec.R.T                    # chain rule through y = R^T z
-    h_b2 = dec.B2.T @ h
-    dgamma_h = gvals * (grad_z[:, m:] @ h_b2)
+    gvals = scale * _slice_gauss(Q, lognorm, zc, radius, nodes)[0]
+    qh = Q[:, m:] @ (dec.B2.T @ h)
+    dgamma_h = -gvals * (float(zc[0] @ qh) + r * (nodes @ qh[:m]))
     term2 = float(r ** m * (dgamma_h @ weights))
     return term1 + term2
 
@@ -588,17 +562,28 @@ def first_variation(dec, law, x, h, mode="numeric", quad=DEFAULT_QUAD) -> float:
     return float((4.0 * d2 - d1) / 3.0)
 
 
-def _bounding_box(dec, eps, delta):
-    Minv = np.linalg.inv(dec.support_quadform())
-    half = eps * np.sqrt(np.diag(Minv))
-    return half + np.abs(delta)
+def support_grid(dec, eps, g, pad=0.0):
+    """Integration points over the support's bounding box, widened by |pad| per axis.
+
+    For nm = 1, 2 the midpoints of a g^nm grid; otherwise g uniform points
+    (fixed seed).  Returns (points, volume per point).
+    """
+    half = eps * np.sqrt(np.diag(np.linalg.inv(dec.support_quadform()))) + np.abs(pad)
+    if dec.nm not in (1, 2):
+        rng = np.random.default_rng(23)
+        return rng.uniform(-half, half, size=(g, dec.nm)), float(np.prod(2 * half)) / g
+    axes = [np.linspace(-h, h, g, endpoint=False) + h / g for h in half]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([mm.ravel() for mm in mesh], axis=1), float(np.prod(2 * half / g))
 
 
 def tv_lipschitz_ratio(dec, law, v1, v2, quad=DEFAULT_QUAD) -> float:
     """int |P(x - v1) - P(x - v2)| dx / ||v1 - v2|| over a covering box.
 
     After the substitution y = x - v1 the integral depends only on
-    delta = v1 - v2, which makes the ratio exactly shift-invariant.
+    delta = v1 - v2, which makes the ratio exactly shift-invariant.  The
+    box holds quad.grid_1d, quad.grid_2d^2 or quad.mc_nodes points for
+    nm = 1, 2 or more.
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -606,25 +591,8 @@ def tv_lipschitz_ratio(dec, law, v1, v2, quad=DEFAULT_QUAD) -> float:
     sep = float(np.linalg.norm(delta))
     if sep == 0.0:
         return 0.0
-    half = _bounding_box(dec, law.eps, delta)
-    if dec.nm == 1:
-        npts = quad.grid_1d
-        ys = np.linspace(-half[0], half[0], npts, endpoint=False) + half[0] / npts
-        ys = ys[:, None]
-        vol = 2 * half[0] / npts
-    elif dec.nm == 2:
-        g = quad.grid_2d
-        axes = [np.linspace(-h, h, g, endpoint=False) + h / g for h in half]
-        Xg, Yg = np.meshgrid(*axes, indexing="ij")
-        ys = np.stack([Xg.ravel(), Yg.ravel()], axis=1)
-        vol = np.prod(2 * half / g)
-    else:
-        if not quad.mc_fallback:
-            raise QuadratureUnsupported(
-                f"nm={dec.nm} needs the Monte Carlo fallback (quad.mc_fallback=True)")
-        rng = np.random.default_rng(23)
-        ys = rng.uniform(-half, half, size=(quad.mc_nodes, dec.nm))
-        vol = float(np.prod(2 * half)) / quad.mc_nodes
+    g = {1: quad.grid_1d, 2: quad.grid_2d}.get(dec.nm, quad.mc_nodes)
+    ys, vol = support_grid(dec, law.eps, g, delta)
     p0 = density_batch(dec, law, ys, quad)
     p1 = density_batch(dec, law, ys + delta, quad)
     return float(np.sum(np.abs(p0 - p1)) * vol / sep)

@@ -286,8 +286,8 @@ def condition_check(model, dich, ladder, pi, law, tau,
         alpha = alpha_from_projection(pi, ladder, tv_level)
         K_proj = projected_kick_covariance(law.K, ladder, tv_level)
         dec = build_pi_decomposition(alpha)
-        plaw = projected_law(K_proj, law.eps_hat, seed=seed)
-        quad = tv_quad or QuadratureSpec(mc_fallback=True, mc_nodes=4000, radial=32)
+        plaw = projected_law(K_proj, law.eps_hat)
+        quad = tv_quad or QuadratureSpec(mc_nodes=4000, radial=32)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(31,)))
         # ratios depend only on the separation vector, so centering at 0 loses nothing
         seps, ratios = _tv_statistics(dec, plaw, rng, tv_pairs, tv_sep_range, quad)

@@ -50,7 +50,7 @@ class NotUnstable(KickstabError):
 
 
 class QuadratureUnsupported(KickstabError):
-    """Requested quadrature dimension is not supported and no fallback enabled."""
+    """No quadrature rule is implemented for the requested dimension."""
 
 
 class BracketFailure(KickstabError):

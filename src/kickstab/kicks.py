@@ -9,10 +9,11 @@ call and returns exactly the kicks, and leaves the generator in exactly the
 state, of as many successive ``sample_kick`` calls; so the first k kicks of
 a stream do not depend on how many are drawn with them.
 
-The normalization constant 1/c_hat = G(B_eps) is estimated by Monte Carlo
-(with standard error) and, for subspaces of dimension <= 3, computed by
-quadrature through the distribution of the Gaussian quadratic form
-sum lambda_i z_i^2.
+The normalization constant 1/c_hat = G(B_eps) is the distribution function
+of the Gaussian quadratic form sum lambda_i z_i^2 at eps_hat^2, computed
+exactly in any dimension by Ruben's chi-square series (``ball_mass``).  The
+Monte Carlo estimate with standard error (``estimate_ball_mass_mc``) is an
+independent check of it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtr
 
 from .errors import DegenerateCovariance, RejectionCap
 
@@ -42,6 +43,8 @@ REJECTION_RATE_FLOOR = 1e-4
 _GROUP_ROWS = 4            # proposals in a kick's first group
 _MAX_GROUP_ROWS = 65536    # cap of the doubling group size
 _REFILL_ROWS = 1 << 16     # proposals drawn per refill; bounds the buffer
+_RUBEN_TOL = 1e-15         # bound on the omitted tail of Ruben's series
+_RUBEN_MAX_TERMS = 100_000
 
 
 def _key_int(k) -> int:
@@ -123,40 +126,46 @@ def estimate_ball_mass_mc(law, n_samples, rng):
     return float(p), float(se)
 
 
-def ball_mass(cov_eigs, radius, n_nodes=160) -> float:
-    """P(sum lambda_i z_i^2 <= radius^2) by nested Gauss-Legendre quadrature.
+def ball_mass(cov_eigs, radius) -> float:
+    """P(sum lambda_i z_i^2 <= radius^2), exact in any dimension.
 
-    Supports up to three positive eigenvalues; used for exact normalization
-    constants of low-dimensional projected laws.
+    Ruben's series (Ann. Math. Statist. 33, 1962) with beta = min lambda:
+    P = sum_k c_k F_{n+2k}(radius^2 / beta), F_d the chi-square cdf with d
+    degrees of freedom, c_0 = prod (beta/lambda_i)^(1/2) and
+    c_k = (1/2k) sum_{j<k} g_{k-j} c_j with g_j = sum_i (1 - beta/lambda_i)^j.
+    The c_k are nonnegative and sum to 1, and F decreases in d, so after K
+    terms the rest is at most (1 - sum c) F_{n+2K}; the sum stops when that
+    bound is below 1e-15.  Raises DegenerateCovariance when it has not after
+    _RUBEN_MAX_TERMS terms (a near-singular covariance).
     """
-    lam = np.sort(np.asarray(cov_eigs, dtype=float))[::-1]
+    lam = np.asarray(cov_eigs, dtype=float)
     if lam.size == 0:
         return 1.0
     if np.any(lam <= 0):
         raise ValueError("covariance eigenvalues must be positive")
-    if lam.size > 3:
-        raise ValueError("ball_mass supports dimension <= 3; use the MC estimate")
-    q = float(radius) ** 2
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-
-    def F(k, qs):
-        qs = np.asarray(qs, dtype=float)
-        out = np.zeros_like(qs)
-        pos = qs > 0
-        if not np.any(pos):
-            return out
-        if k == 0:
-            out[pos] = stats.chi2.cdf(qs[pos] / lam[0], df=1)
-            return out
-        qp = qs[pos]
-        half = np.sqrt(qp / lam[k])
-        t = half[:, None] * nodes[None, :]
-        inner = F(k - 1, (qp[:, None] - lam[k] * t ** 2).ravel()).reshape(t.shape)
-        dens = np.exp(-0.5 * t ** 2) / np.sqrt(2 * np.pi)
-        out[pos] = np.einsum("ij,j->i", dens * inner, weights) * half
-        return out
-
-    return float(np.clip(F(lam.size - 1, np.array([q]))[0], 0.0, 1.0))
+    n = lam.size
+    beta = float(lam.min())
+    x = float(radius) ** 2 / beta
+    rho = 1.0 - beta / lam
+    c = np.empty(_RUBEN_MAX_TERMS)
+    g = np.empty(_RUBEN_MAX_TERMS)
+    c[0] = float(np.prod(np.sqrt(beta / lam)))
+    power = np.ones(n)
+    total = 0.0
+    rest = 1.0
+    for k in range(_RUBEN_MAX_TERMS):
+        if k:
+            power *= rho
+            g[k] = power.sum()
+            c[k] = float(g[k:0:-1] @ c[:k]) / (2 * k)
+        F = float(chdtr(n + 2 * k, x))
+        total += c[k] * F
+        rest -= c[k]
+        if rest * F < _RUBEN_TOL:
+            return min(total, 1.0)
+    raise DegenerateCovariance(
+        f"Ruben's series did not converge in {_RUBEN_MAX_TERMS} terms: "
+        f"lambda_max/lambda_min = {lam.max() / beta:.3e}, r^2/lambda_min = {x:.3e}")
 
 
 def sample_kicks(law, rng, count) -> np.ndarray:
@@ -264,18 +273,17 @@ def _gaussian_logpdf(y, cov):
     return -0.5 * (len(y) * np.log(2 * np.pi) + logdet + y @ alpha)
 
 
-def qnu_density(Q, law, y, c_hat=None, mc_samples=200_000) -> float:
+def qnu_density(Q, law, y, c_hat=None) -> float:
     """Density of the projected truncated law at y (subspace coordinates).
 
     Q is an n x r matrix with orthonormal columns spanning the subspace.
     Returns c_hat * chi_{||y|| <= eps_hat} * g(y) with g the Gaussian
     density of covariance Q^T K Q, normalized to unit mass on the subspace.
-    The truncation constant c_hat is computed by quadrature for r <= 3 and
-    by Monte Carlo otherwise, unless supplied.
+    The truncation constant c_hat is ``1 / ball_mass`` unless supplied.
     """
     Q = np.asarray(Q, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, r = Q.shape
+    r = Q.shape[1]
     if np.linalg.norm(Q.T @ Q - np.eye(r)) > 1e-8:
         raise ValueError("Q must have orthonormal columns")
     cov = Q.T @ law.K @ Q
@@ -286,14 +294,5 @@ def qnu_density(Q, law, y, c_hat=None, mc_samples=200_000) -> float:
     if float(y @ y) > law.eps_hat ** 2:
         return 0.0
     if c_hat is None:
-        if r <= 3:
-            c_hat = 1.0 / ball_mass(evals, law.eps_hat)
-        else:
-            rng = law.stream("qnu-norm")
-            batch = mc_samples
-            z = rng.standard_normal((batch, n)) @ law.chol_K.T @ Q
-            p = np.mean(np.einsum("ij,ij->i", z, z) <= law.eps_hat ** 2)
-            if p == 0:
-                raise DegenerateCovariance("no Monte Carlo mass in the truncation ball")
-            c_hat = 1.0 / float(p)
+        c_hat = 1.0 / ball_mass(evals, law.eps_hat)
     return float(c_hat * np.exp(_gaussian_logpdf(y, cov)))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailed, SingularA0
+from .spectral import _spectral_norm
 
 __all__ = [
     "StokesSpectrum",
@@ -154,10 +155,6 @@ def synth_stokes_spectrum(n, d, beta0, remainder_scale, seed) -> StokesSpectrum:
     rem = remainder_scale * rng.uniform(-1.0, 1.0, size=n) / np.log(j + 2)
     mu = np.sort(base + rem)
     return StokesSpectrum(n=n, d=d, beta0=beta0, mu=mu, remainder_scale=remainder_scale, seed=seed)
-
-
-def _spectral_norm(M) -> float:
-    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
 
 
 def _spectrum_cache(A, tol=1e-9) -> tuple:

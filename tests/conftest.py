@@ -65,7 +65,7 @@ def ref_kick_matrix():
 
 @pytest.fixture()
 def ref_law(ref_kick_matrix):
-    # function-scoped: sampling mutates the law's rejection window counters
+    # norm_samples=0: no test that uses it reads the lazy ball-mass estimate
     return ks.kicks.make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
                                   norm_samples=0)
 

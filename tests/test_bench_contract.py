@@ -1,0 +1,61 @@
+"""What the benchmark's layer tracer needs from kickstab.
+
+``perfbench/layertrace.py`` rebinds every ``(module, function)`` in its
+TARGETS and records per-call information from the arguments and results of
+some of them.  A traced run that cannot find or bind one of these counts
+as failed operations, so a change that breaks this contract shows here,
+not first in a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from kickstab.density import (
+    DEFAULT_QUAD,
+    build_pi_decomposition,
+    density_batch,
+    projected_law,
+)
+from kickstab.kicks import make_kick_law
+
+
+def _load_layertrace():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod    # its dataclasses resolve annotations through sys.modules
+    spec.loader.exec_module(mod)
+    return mod
+
+
+lt = _load_layertrace()
+
+
+def test_trace_targets_exist():
+    for mod_name, fn_name, _ in lt.TARGETS:
+        mod = importlib.import_module(f"kickstab.{mod_name}")
+        assert callable(getattr(mod, fn_name, None)), f"kickstab.{mod_name}.{fn_name}"
+
+
+def test_density_batch_binds_dec_and_quad():
+    params = inspect.signature(density_batch).parameters
+    assert "dec" in params and "quad" in params
+    hook = lt._info_hook("density_batch", density_batch)
+    dec = build_pi_decomposition(np.array([[0.8], [-0.5]]))
+    law = projected_law(0.35 * np.eye(3), 1.0)
+    xs = np.array([[0.1, 0.2], [0.0, 0.0], [3.0, 3.0]])
+    args = (dec, law, xs, DEFAULT_QUAD)
+    info = hook(args, {}, density_batch(*args))
+    assert info == {"points": 3, "point_nodes": 3 * lt.slice_nodes(1, DEFAULT_QUAD)}
+
+
+def test_kick_law_exposes_norm_const_est():
+    hook = lt._info_hook("kick_law", make_kick_law)
+    law = make_kick_law(np.eye(2), 1.0, seed=0, norm_samples=10_000)
+    info = hook((np.eye(2), 1.0), {"seed": 0}, law)
+    assert 0.0 < info["accept_prob"] < 1.0

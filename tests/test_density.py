@@ -19,9 +19,10 @@ from kickstab.density import (
     mc_density_oracle,
     projected_law,
     slice_geometry,
+    support_grid,
     tv_lipschitz_ratio,
 )
-from kickstab.errors import NotInterior, ProbeOffBoundary, QuadratureUnsupported
+from kickstab.errors import NotInterior, ProbeOffBoundary
 from kickstab.kicks import support_ellipsoid_membership
 
 
@@ -221,12 +222,33 @@ def test_density_m0_is_truncated_gaussian():
     (np.zeros((2, 0)), np.array([[0.5, 0.1], [0.1, 0.2]])),   # m = 0: P jumps at the edge
     (np.array([[0.8], [-0.5]]), 0.35 * np.eye(3)),            # dec12 / law12, m = 1
     (np.array([[0.7, -0.4]]), np.diag([0.3, 0.4, 0.25])),    # m = 2, nm = 1
-], ids=["m0", "m1", "m2-nm1"])
+    (np.array([[0.9, 0.2], [-0.3, 0.7]]), 0.3 * np.eye(4)),   # m = 2, nm = 2 (n = 4)
+], ids=["m0", "m1", "m2-nm1", "m2-nm2"])
 def test_density_mass_fitted_to_support(alpha, K):
-    # n <= 3, so c_hat is exact and the mass must be 1 up to quadrature error
+    # c_hat is exact in every dimension, so the mass must be 1 up to quadrature error
     dec = build_pi_decomposition(alpha)
     law = projected_law(K, 1.0)
     assert abs(density_mass(dec, law) - 1.0) < 1e-6
+
+
+def test_density_batch_blocks_match_single_points():
+    # 256 points of an m = 2 fiber (64 x 256 slice nodes each): the blocked
+    # kernel gives each row its one-point value and stays under a memory cap
+    import tracemalloc
+
+    dec = build_pi_decomposition(np.array([[0.9, 0.2], [-0.3, 0.7]]))
+    law = projected_law(0.3 * np.eye(4), 1.0)
+    xs, _ = support_grid(dec, law.eps, 16)
+    tracemalloc.start()
+    try:
+        P = density_batch(dec, law, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
+    assert np.count_nonzero(P) > 100
+    single = np.array([density_P(dec, law, x) for x in xs])
+    assert_allclose(P, single, rtol=1e-13, atol=0.0)
 
 
 def test_density_zero_outside_support(dec12, law12):
@@ -257,10 +279,8 @@ def test_density_matches_mc_oracle(dec12, law12):
 def test_density_quadrature_unsupported_without_fallback():
     dec = build_pi_decomposition(np.eye(4))
     law = projected_law(np.eye(8), 1.0, c_hat=1.0)
-    with pytest.raises(QuadratureUnsupported):
-        density_P(dec, law, np.zeros(4))
-    # fallback path returns a finite value
-    val = density_P(dec, law, np.zeros(4), QuadratureSpec(mc_fallback=True, mc_nodes=4000))
+    # m = 4: Monte Carlo slice nodes return a finite value
+    val = density_P(dec, law, np.zeros(4), QuadratureSpec(mc_nodes=4000))
     assert val > 0
 
 

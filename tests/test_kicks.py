@@ -140,6 +140,18 @@ def test_ball_mass_against_chi2():
     assert abs(ball_mass([1.0, 1.0, 1.0], 1.2) - stats.chi2.cdf(1.44, 3)) < 1e-7
 
 
+def test_ball_mass_closed_forms():
+    # chi-square cdfs for equal eigenvalues, in 1 to 6 dimensions
+    for n in range(1, 7):
+        assert abs(ball_mass([0.7] * n, 1.3) - stats.chi2.cdf(1.3 ** 2 / 0.7, n)) < 1e-13
+    # 2-D, K = 0.3 I: 1 - exp(-r^2 / 0.6)
+    assert abs(ball_mass([0.3, 0.3], 1.0) - (1.0 - np.exp(-1.0 / 0.6))) < 1e-13
+    # (a, a, b, b): a hypoexponential sum, 1 - (a e^{-q/2a} - b e^{-q/2b}) / (a - b)
+    for a, b, q in [(0.5, 0.2, 0.9), (2.0, 0.1, 0.3), (0.3, 0.25, 2.5)]:
+        exact = 1.0 - (a * np.exp(-q / (2 * a)) - b * np.exp(-q / (2 * b))) / (a - b)
+        assert abs(ball_mass([a, a, b, b], np.sqrt(q)) - exact) < 1e-13
+
+
 def test_ball_mass_against_mc():
     rng = np.random.default_rng(0)
     lam = np.array([0.9, 0.3, 0.05])
