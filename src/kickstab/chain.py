@@ -4,7 +4,9 @@ Every trajectory is stepped by one kernel, ``propagate``: a chain's kicks
 are drawn in one ``sample_kicks`` call on its own stream, pushed through
 Pi once, and a block of chains is stepped together.  Kicks follow the
 sampler's group rule, so a chain's first k kicks are those of a k-step run
-on the same stream.
+on the same stream.  Every controlled chain steps in X_sigma coordinates
+c = U^T w, U the stable basis (``controlled_states``), so roundoff has no
+component along the unstable mode to amplify, however long the run.
 
 Also provides the uncontrolled blow-up demonstration (no projection, full
 space) and the per-trajectory envelope certificate
@@ -29,6 +31,7 @@ __all__ = [
     "Trajectory",
     "step",
     "propagate",
+    "controlled_states",
     "run_chain",
     "run_ensemble",
     "envelope_check",
@@ -58,7 +61,7 @@ class Trajectory:
 
 def step(S_mat, pi, law, w, rng) -> np.ndarray:
     """One transition: S w + Pi phi with a freshly sampled kick."""
-    return propagate(S_mat, pi.Pi_mat, w, sample_kicks(law, rng, 1))[1]
+    return controlled_states(S_mat, pi, w, sample_kicks(law, rng, 1))[1]
 
 
 def propagate(S_mat, B, w0, kicks) -> np.ndarray:
@@ -79,19 +82,29 @@ def propagate(S_mat, B, w0, kicks) -> np.ndarray:
     return states
 
 
+def controlled_states(S_mat, pi, w0, kicks) -> np.ndarray:
+    """``propagate`` for the controlled chain, stepped in X_sigma coordinates.
+
+    Raises ValueError unless w0 lies in X_sigma: ||D^T w0|| < 1e-10 max(1, ||w0||).
+    """
+    w0 = np.asarray(w0, dtype=float)
+    D, U = pi.dichotomy.D, pi.dichotomy.stable_basis
+    if D.size and np.linalg.norm(D.T @ w0) >= 1e-10 * max(1.0, np.linalg.norm(w0)):
+        raise ValueError("w0 must lie in X_sigma (adjoint residual too large)")
+    c = propagate(U.T @ S_mat @ U, U.T @ pi.Pi_mat, w0 @ U, kicks)
+    del kicks   # run_ensemble passes its kicks inline: free them before w = U c
+    return c @ U.T
+
+
 def run_chain(config, S_mat, pi, law, gamma0=None) -> Trajectory:
     """Run one controlled trajectory from config.w0 (must lie in X_sigma).
 
     Reports the stage threshold r0 = ||Pi|| eps_hat / (1 - gamma0) and the
     first entry time into the ball of that radius.
     """
-    w0 = np.asarray(config.w0, dtype=float)
-    D = pi.dichotomy.D
-    if D.size and np.linalg.norm(D.T @ w0) >= 1e-10 * max(1.0, np.linalg.norm(w0)):
-        raise ValueError("w0 must lie in X_sigma (adjoint residual too large)")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     kicks = sample_kicks(law, rng, config.n_steps)
-    states = propagate(S_mat, pi.Pi_mat, w0, kicks)
+    states = controlled_states(S_mat, pi, config.w0, kicks)
     norms = np.linalg.norm(states, axis=1)
     r0 = np.inf
     first_entry = None
@@ -121,9 +134,8 @@ def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
     first k steps are those of a k-step run.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    kicks = np.stack([sample_kicks(law, np.random.default_rng(s), n_steps)
-                      for s in ss.spawn(n_chains)])
-    return propagate(S_mat, pi.Pi_mat, np.asarray(w0, dtype=float), kicks)
+    return controlled_states(S_mat, pi, w0, np.stack(
+        [sample_kicks(law, np.random.default_rng(s), n_steps) for s in ss.spawn(n_chains)]))
 
 
 def envelope_check(norms, w0_norm, gamma0, norm_Pi, eps_hat, tol=1e-9) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sstats
 
-from .chain import burn_in_floor, propagate, run_ensemble
+from .chain import burn_in_floor, controlled_states, run_ensemble
 from .kicks import sample_kicks
 from .density import (
     QuadratureSpec,
@@ -57,8 +57,7 @@ class ObservableSet:
         """Evaluate all observables; output shape states.shape[:-1] + (size,)."""
         states = np.asarray(states, dtype=float)
         lin = np.clip(states @ self.U.T, -1.0, 1.0)
-        diff = states[..., None, :] - self.centers[None, ...] if states.ndim == 2 \
-            else states[..., None, :] - self.centers
+        diff = states[..., None, :] - self.centers
         rad = np.clip(self.offsets - np.linalg.norm(diff, axis=-1), -1.0, 1.0)
         return np.concatenate([lin, rad], axis=-1)
 
@@ -105,10 +104,10 @@ class MixingReport:
 
 
 def _ensemble_obs_means(S, pi, law, w0, n_chains, n_steps, seed_seq, observables):
+    """Per-step means over chains of the observables, shape (steps+1, size)."""
     states = run_ensemble(S, pi, law, w0, n_chains, n_steps, seed_seq)
-    vals = observables.evaluate(states.reshape(-1, states.shape[-1]))
-    vals = vals.reshape(n_chains, n_steps + 1, observables.size)
-    return vals.mean(axis=0)
+    return np.array([observables.evaluate(states[:, k]).mean(axis=0)
+                     for k in range(n_steps + 1)])
 
 
 def mixing_decay(S, pi, law, w0_A, w0_B, n_chains, n_steps, observables,
@@ -172,27 +171,15 @@ def _batch_ci(series, n_batches=30, level=0.95):
     return mean, mean - tq * se, mean + tq * se
 
 
-def _projected_trajectory(S, pi, law, w0, n_steps, seed):
-    """One trajectory stepped by S composed with the projector onto X_sigma.
-
-    Identical dynamics on the invariant subspace, but float roundoff along
-    the unstable adjoint directions stays damped over 10^5-step horizons
-    instead of being amplified.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    S_eff = S @ pi.dichotomy.P_sigma
-    return propagate(S_eff, pi.Pi_mat, np.asarray(w0, dtype=float),
-                     sample_kicks(law, rng, n_steps))
-
-
 def slln_average(S, pi, law, w0, n_steps, observables, seed,
                  n_batches=30, checkpoints=None) -> dict:
     """Running averages along one trajectory with batch-means intervals.
 
-    The trajectory is stepped by S composed with the orthogonal projector
-    onto X_sigma (see ``_projected_trajectory``).
+    The trajectory is stepped in X_sigma coordinates, like every controlled
+    chain (see ``chain.controlled_states``).
     """
-    states = _projected_trajectory(S, pi, law, w0, n_steps, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    states = controlled_states(S, pi, w0, sample_kicks(law, rng, n_steps))
     fv = observables.evaluate(states)
     if checkpoints is None:
         checkpoints = sorted({n_steps // 100, n_steps // 10, n_steps} - {0})
@@ -216,12 +203,12 @@ def stationary_stats(S, pi, law, w0, n_steps, burn_in, seed, gamma0=None) -> dic
     burn_in must dominate the deterministic transient
     ceil(log(eps_hat/||w0||)/log gamma0) when gamma0 is supplied.
     """
-    w0 = np.asarray(w0, dtype=float)
     if gamma0 is not None:
         floor = burn_in_floor(law.eps_hat, float(np.linalg.norm(w0)), gamma0)
         if burn_in < floor:
             raise ValueError(f"burn_in {burn_in} below the transient floor {floor}")
-    states = _projected_trajectory(S, pi, law, w0, n_steps, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    states = controlled_states(S, pi, w0, sample_kicks(law, rng, n_steps))
     post = states[burn_in:]
     norms = np.linalg.norm(post, axis=1)
     counts, edges = np.histogram(norms, bins=40)

@@ -15,13 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
+from kickstab.chain import run_ensemble
 from kickstab.density import (
     DEFAULT_QUAD,
     build_pi_decomposition,
     density_batch,
     projected_law,
 )
+from kickstab.ergodicity import make_observables, slln_average, stationary_stats
 from kickstab.kicks import make_kick_law
+from tests.conftest import REF
 
 
 def _load_layertrace():
@@ -59,3 +62,18 @@ def test_kick_law_exposes_norm_const_est():
     law = make_kick_law(np.eye(2), 1.0, seed=0, norm_samples=10_000)
     info = hook((np.eye(2), 1.0), {"seed": 0}, law)
     assert 0.0 < info["accept_prob"] < 1.0
+
+
+def test_chain_hooks_read_step_counts(ref_S, ref_pi, ref_law, ref_w0, ref_gamma0):
+    # the ensemble hook reads (chains, steps + 1, n) states; the n_steps
+    # hook binds the argument by name, as the pipeline passes it
+    hook = lt._info_hook("ensemble", run_ensemble)
+    args = (ref_S, ref_pi, ref_law, ref_w0, 3, 7, 5)
+    assert hook(args, {}, run_ensemble(*args)) == {"steps": 3 * 7}
+    obs = make_observables(REF["n"], 4, 2, seed=0)
+    calls = ((slln_average, (ref_S, ref_pi, ref_law, ref_w0, 60, obs, 1), {}),
+             (stationary_stats, (ref_S, ref_pi, ref_law, ref_w0, 60, 20, 2),
+              {"gamma0": ref_gamma0}))
+    for fn, args, kwargs in calls:
+        hook = lt._info_hook("n_steps", fn)
+        assert hook(args, kwargs, fn(*args, **kwargs)) == {"steps": 60}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
+from scipy.stats import t as t_dist
 
 import kickstab as ks
 from kickstab.artifacts import canonical_json
@@ -237,7 +238,13 @@ def test_stationary_covariance_matches_lyapunov(ref_model, ref_S, ref_pi,
     cmean = covs.mean(axis=0)
     cse = covs.std(axis=0, ddof=1) / np.sqrt(nrep)
     z = np.abs(cmean - Sigma) / np.maximum(cse, 1e-18)
-    assert z.max() <= 3.0
+    # one t statistic (nrep - 1 df) per distinct entry of the symmetric
+    # matrix; their max is held to a Bonferroni bound at family-wise level
+    # alpha, since the max of many uncorrected |t| values exceeds a fixed
+    # 3.0 for most correct chains
+    iu = np.triu_indices(REF["n"])
+    alpha = 0.01
+    assert z[iu].max() <= t_dist.ppf(1 - alpha / (2 * len(iu[0])), nrep - 1)
 
 
 def test_stationarity_energy_distance(ref_S, ref_pi, ref_kick_matrix, ref_dichotomy):
