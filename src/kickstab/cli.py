@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -49,6 +50,7 @@ from .feedback import build_pi, make_control_geometry
 from .kicks import make_kick_law
 from .model_builder import build_oseen, synth_stokes_spectrum
 from .spectral import (
+    _spectral_projector_schur,
     contour_bound_integrals,
     contraction_certificate,
     eig_split,
@@ -73,7 +75,8 @@ _PREREQS = {
 
 
 class Pipeline:
-    """Holds the config, derived components (built lazily), and artifact dir."""
+    """Holds the config, derived components (built lazily, once per pipeline;
+    S(tau) once per distinct tau in ``semigroup``), and the artifact dir."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir, seed_override=None):
         self.cfg = cfg
@@ -120,10 +123,19 @@ class Pipeline:
             self._cache["law"] = make_kick_law(K, self.cfg.kick.eps_hat, self.cfg.kick.seed)
         return self._cache["law"]
 
+    def semigroup(self, tau):
+        if ("S", tau) not in self._cache:
+            self._cache["S", tau] = semigroup(self.model(), tau)
+        return self._cache["S", tau]
+
     # -- artifact helpers --
 
     def path(self, name):
         return os.path.join(self.out, name)
+
+    def load(self, name):
+        with open(self.path(name), "r", encoding="utf-8") as fh:
+            return json.load(fh)
 
     def require(self, stage):
         for name in _PREREQS[stage]:
@@ -132,10 +144,8 @@ class Pipeline:
                     f"stage '{stage}' requires artifact {name}; run the earlier stages first")
 
     def _load_manifest(self):
-        import json
         if os.path.exists(self._manifest_path):
-            with open(self._manifest_path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+            return self.load("manifest.json")
         return {"config_hash": self.config_hash(), "version": __version__,
                 "stages": {}, "timings": {}}
 
@@ -176,23 +186,23 @@ class Pipeline:
     def stage_certify(self):
         self.require("certify")
         model, dich = self.model(), self.dichotomy()
-        tau = self.cfg.run.tau
-        gamma0, ok = contraction_certificate(dich, model, tau)
-        grid = {}
-        for t in (1.0, 2.0, 4.0, 8.0):
-            g, _ = contraction_certificate(dich, model, t)
-            grid[str(t)] = g
-        gammas = tail_contraction(self.ladder(), model, tau)
-        P_quad = riesz_projector(model, self.cfg.model.sigma)
-        riesz_resid = float(np.linalg.norm(P_quad @ P_quad - P_quad))
-        I1, I2 = contour_bound_integrals(model, self.cfg.model.sigma, tau)
+        sigma, tau = self.cfg.model.sigma, self.cfg.run.tau
+        gamma0, ok = contraction_certificate(dich, self.semigroup(tau))
+        grid = {str(t): contraction_certificate(dich, self.semigroup(t))[0]
+                for t in (1.0, 2.0, 4.0, 8.0)}
+        gammas = tail_contraction(self.ladder(), self.semigroup(tau))
+        # two independent constructions of one projector: quadrature vs Schur
+        P_quad = riesz_projector(model, sigma)
+        P_schur = _spectral_projector_schur(model.A, sigma)
+        I1, I2 = contour_bound_integrals(model, sigma, tau)
         doc = {
             "tau": tau,
             "gamma0": gamma0,
             "contraction_ok": ok,
             "gamma0_grid": grid,
             "tail_gammas": gammas.tolist(),
-            "riesz_idempotency_residual": riesz_resid,
+            "riesz_idempotency_residual": float(np.linalg.norm(P_quad @ P_quad - P_quad)),
+            "riesz_schur_residual": float(np.linalg.norm(P_quad - P_schur)),
             "contour_I1": I1,
             "contour_I2": I2,
         }
@@ -205,8 +215,8 @@ class Pipeline:
         cfg = self.cfg
         model, dich, pi, law = self.model(), self.dichotomy(), self.controller(), self.law()
         tau = cfg.run.tau
-        S = semigroup(model, tau)
-        gamma0, _ = contraction_certificate(dich, model, tau)
+        S = self.semigroup(tau)
+        gamma0, _ = contraction_certificate(dich, S)
         w0 = stable_state(dich, cfg.run.w0_scale, cfg.run.w0_seed)
 
         traj = run_chain(ChainConfig(tau=tau, n_steps=cfg.run.n_steps, w0=w0,
@@ -236,14 +246,14 @@ class Pipeline:
                         "Pi_hash": hash_arrays(pi.Pi_mat)})
 
         pb = self.path("blowup.json")
-        if np.linalg.eigvals(model.A).real.min() < 0:
-            traj_u, rate = uncontrolled_demo(model, law, w0, cfg.run.uncontrolled_steps,
-                                             cfg.run.seed, tau)
+        ev_min = model.eigvals().real.min()
+        if ev_min < 0:
+            traj_u, rate = uncontrolled_demo(S, law, w0, cfg.run.uncontrolled_steps, cfg.run.seed)
             ctrl = run_chain(ChainConfig(tau=tau, n_steps=cfg.run.uncontrolled_steps,
                                          w0=w0, seed=cfg.run.seed), S, pi, law, gamma0)
             write_json(pb, {"applicable": True,
                             "growth_rate_per_step": rate,
-                            "expected_rate": float(-tau * np.linalg.eigvals(model.A).real.min()),
+                            "expected_rate": float(-tau * ev_min),
                             "ratio_uncontrolled_controlled": float(traj_u.norms[-1] / ctrl.norms[-1])})
         else:
             write_json(pb, {"applicable": False,
@@ -308,7 +318,7 @@ class Pipeline:
         cfg = self.cfg
         model, dich, pi, law = self.model(), self.dichotomy(), self.controller(), self.law()
         mix = cfg.mixing
-        S = semigroup(model, mix.tau)
+        S = self.semigroup(mix.tau)
         obs = make_observables(model.n, mix.n_linear, mix.n_radial,
                                seed=mix.obs_seed, radial_scale=mix.radial_scale)
         w0 = stable_state(dich, mix.w0_scale, cfg.run.w0_seed)
@@ -318,8 +328,8 @@ class Pipeline:
         pj = self.path("mixing.json")
         write_json(pj, rep.to_json_dict())
 
-        S_run = semigroup(model, cfg.run.tau)
-        g0, _ = contraction_certificate(dich, model, cfg.run.tau)
+        S_run = self.semigroup(cfg.run.tau)
+        g0, _ = contraction_certificate(dich, S_run)
         sl_a = slln_average(S_run, pi, law, w0, mix.slln_steps, obs, mix.slln_seed_a)
         sl_b = slln_average(S_run, pi, law, w0, mix.slln_steps, obs, mix.slln_seed_b)
         lo = np.maximum(np.array(sl_a["state_ci_low"]), np.array(sl_b["state_ci_low"]))
@@ -344,23 +354,16 @@ class Pipeline:
 
     def stage_report(self):
         self.require("report")
-        import json
+        cert = self.load("certificate.json")
+        env = self.load("envelope.json")
+        dens = self.load("density.json")
+        mix = self.load("mixing.json")
+        slln = self.load("slln.json")
+        stat = self.load("stationary.json")
+        blow = self.load("blowup.json")
 
-        def load(name):
-            with open(self.path(name), "r", encoding="utf-8") as fh:
-                return json.load(fh)
-
-        cert = load("certificate.json")
-        env = load("envelope.json")
-        dens = load("density.json")
-        mix = load("mixing.json")
-        slln = load("slln.json")
-        stat = load("stationary.json")
-        blow = load("blowup.json")
-
-        model, dich, pi, law = self.model(), self.dichotomy(), self.controller(), self.law()
-        cond = condition_check(model, dich, self.ladder(), pi, law, self.cfg.run.tau,
-                               seed=self.cfg.control.seed)
+        cond = condition_check(self.dichotomy(), self.ladder(), self.controller(), self.law(),
+                               self.semigroup(self.cfg.run.tau), seed=self.cfg.control.seed)
 
         grid = [cert["gamma0_grid"][k] for k in ("1.0", "2.0", "4.0", "8.0")]
         checks = {
@@ -427,7 +430,11 @@ def main(argv=None) -> int:
         worst = 0
         for st in stages:
             fail = pipe.run_stage(st)
-            print(f"[{st}] {'ok' if fail == 0 else 'CHECK FAILED'}")
+            status = "ok" if fail == 0 else "CHECK FAILED"
+            if fail and st == "report":
+                checks = pipe.load("report.json")["checks"]
+                status += ": " + ", ".join(k for k, c in checks.items() if not c["pass"])
+            print(f"[{st}] {status}")
             worst = max(worst, fail)
         return worst
     except KickstabError as exc:

@@ -459,9 +459,10 @@ def lagrange_boundary_step(dec, x, gamma0):
 
 
 def boundary_exponent_probe(dec, law, x_boundary, h_norms=None, quad=DEFAULT_QUAD) -> dict:
-    """Fit log P(x + h_hat) against log ||h|| along the optimal inward steps.
+    """Fit log P(x + h_hat) = s log ||h|| + c + b ||h|| along the optimal inward steps.
 
-    The expected slope is m/2 (fiber dimension over two).  Raises
+    The expected slope s is m/2 (fiber dimension over two); the b ||h|| term
+    takes up the next order, which biases a two-term fit.  Raises
     ProbeOffBoundary when x_boundary is not on the support boundary.
     """
     x = np.asarray(x_boundary, dtype=float)
@@ -478,15 +479,16 @@ def boundary_exponent_probe(dec, law, x_boundary, h_norms=None, quad=DEFAULT_QUA
         h, _ = lagrange_boundary_step(dec, x, g0)
         Ps[i] = density_P(dec, law, x + h, quad)
     keep = Ps > 0
-    if keep.sum() < 3:
+    if keep.sum() < 4:   # three coefficients need one point more to be a fit
         raise ProbeOffBoundary("too few positive density values along the probe")
     logs = np.log(h_norms[keep])
     logP = np.log(Ps[keep])
-    slope, intercept = np.polyfit(logs, logP, 1)
-    resid = logP - (slope * logs + intercept)
+    X = np.column_stack([logs, np.ones_like(logs), h_norms[keep]])
+    coef = np.linalg.lstsq(X, logP, rcond=None)[0]
+    resid = logP - X @ coef
     ss_tot = float(np.sum((logP - logP.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(slope), "intercept": float(intercept), "r2": r2,
+    return {"slope": float(coef[0]), "intercept": float(coef[1]), "r2": r2,
             "h_norms": h_norms.tolist(), "P_values": Ps.tolist()}
 
 

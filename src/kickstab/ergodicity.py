@@ -246,18 +246,18 @@ def _tv_statistics(dec, plaw, rng, n_pairs, sep_range, quad):
     return seps, ratios
 
 
-def condition_check(model, dich, ladder, pi, law, tau,
+def condition_check(dich, ladder, pi, law, S,
                     tv_level=1, tv_pairs=12, tv_sep_range=(1e-3, 1e-1),
                     tv_quad=None, seed=0) -> dict:
-    """Verify the three ergodicity hypotheses on the assembled system.
+    """Verify the three ergodicity hypotheses for the step S = S(tau).
 
     Returns a report with one entry per hypothesis: restricted contraction
     (gamma_0 < 1), tail contraction (strictly decreasing with the last
     level below 0.5 * gamma_0), and boundedness/stability of the projected
     total-variation ratio.  Failures are reported, not raised.
     """
-    gamma0, ok = contraction_certificate(dich, model, tau)
-    gammas = tail_contraction(ladder, model, tau)
+    gamma0, ok = contraction_certificate(dich, S)
+    gammas = tail_contraction(ladder, S)
     strictly_dec = bool(np.all(np.diff(gammas) < 0))
     tail_ok = strictly_dec and bool(gammas[-1] < 0.5 * gamma0)
     report = {

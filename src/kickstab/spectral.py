@@ -6,6 +6,10 @@ pairs replaced by real/imaginary parts).  X_sigma is the orthogonal
 complement of span{d_j}; it is invariant under S(tau) = e^{-A tau} and the
 restricted operator norm there is the contraction constant gamma_0.
 
+S(tau) is formed only by ``semigroup``; callers build it once per tau and
+pass it to the contraction constants.  certify checks the quadrature
+projector ``riesz_projector`` against the sorted real Schur one.
+
 A ladder of higher levels sigma_1 < ... < sigma_K, one per segment
 Delta_k = [e^{2k/d}, e^{2(k+1)/d}], carries the tail-contraction constants
 gamma_k used by the ergodicity hypotheses.
@@ -50,14 +54,13 @@ def _spectral_norm(M) -> float:
 
 @dataclass(frozen=True)
 class Dichotomy:
-    """Stable/unstable splitting of R^n at level sigma."""
+    """Orthogonal stable/unstable splitting of R^n at level sigma (no spectral projector)."""
 
     sigma: float
     m: int
     D: np.ndarray        # n x m adjoint unstable basis (real-ified, unit columns)
     Eb: np.ndarray       # n x m orthonormalization of D
     P_sigma: np.ndarray  # orthogonal projector onto X_sigma = (span D)^perp
-    P_riesz: np.ndarray  # spectral projector of A onto modes with Re < sigma
     gap: float           # distance from {Re = sigma} to the spectrum
     stable_basis: np.ndarray  # n x (n-m) orthonormal basis of X_sigma
 
@@ -198,10 +201,9 @@ def eig_split(model, sigma, gap_tol=1e-6) -> Dichotomy:
     D, m = _adjoint_unstable_basis(A, sigma)
     Eb = _orthonormalize(D) if m else np.zeros((A.shape[0], 0))
     P_sigma = np.eye(A.shape[0]) - Eb @ Eb.T
-    P_riesz = _spectral_projector_schur(A, sigma)
     stable = _complement_basis(Eb)
     return Dichotomy(sigma=float(sigma), m=m, D=D, Eb=Eb, P_sigma=P_sigma,
-                     P_riesz=P_riesz, gap=gap, stable_basis=stable)
+                     gap=gap, stable_basis=stable)
 
 
 def _rectangle_nodes(re_lo, re_hi, im_lo, im_hi, n_nodes):
@@ -224,13 +226,12 @@ def _rectangle_nodes(re_lo, re_hi, im_lo, im_hi, n_nodes):
     return np.array(nodes), np.array(weights)
 
 
-def _contour_integral(A, nodes, weights, factor=None, dist_tol=1e-8):
+def _contour_integral(A, ev, nodes, weights, factor=None, dist_tol=1e-8):
     """(2 pi i)^{-1} * counterclockwise sum of weights * factor * (lambda I - A)^{-1}.
 
     Equals the same integral of (A - lambda I)^{-1} with the opposite
-    orientation (the contour "enclosing from the left").
+    orientation (the contour "enclosing from the left"); ev = spec(A).
     """
-    ev = np.linalg.eigvals(A)
     mind = min(np.min(np.abs(ev - z)) for z in nodes)
     if mind < dist_tol:
         raise ContourTouchesSpectrum(f"contour node within {dist_tol} of the spectrum")
@@ -270,7 +271,7 @@ def riesz_projector(model, sigma, n_nodes=256, gap_tol=1e-6) -> np.ndarray:
     else:
         re_lo, H = sigma - 1.0, 1.0
     nodes, weights = _rectangle_nodes(re_lo, sigma, -H, H, n_nodes)
-    return _contour_integral(A, nodes, weights)
+    return _contour_integral(A, ev, nodes, weights)
 
 
 def semigroup(model, tau, method="scaling_squaring", n_nodes=512) -> np.ndarray:
@@ -293,20 +294,16 @@ def semigroup(model, tau, method="scaling_squaring", n_nodes=512) -> np.ndarray:
     re_hi = float(ev.real.max()) + margin
     H = float(np.max(np.abs(ev.imag))) + margin
     nodes, weights = _rectangle_nodes(re_lo, re_hi, -H, H, n_nodes)
-    return _contour_integral(A, nodes, weights, factor=lambda z: np.exp(-z * tau))
+    return _contour_integral(A, ev, nodes, weights, factor=lambda z: np.exp(-z * tau))
 
 
 def restricted_norm(S, basis) -> float:
     """Operator 2-norm of S restricted to the span of an orthonormal basis."""
-    if basis.shape[1] == 0:
-        return 0.0
     return _spectral_norm(basis.T @ S @ basis)
 
 
-def contraction_certificate(dich, model, tau):
-    """(gamma0, ok): norm of S(tau) restricted to X_sigma, contraction flag."""
-    A = _as_matrix(model)
-    S = sla.expm(-tau * A)
+def contraction_certificate(dich, S):
+    """(gamma0, ok): norm of S = S(tau) restricted to X_sigma, contraction flag."""
     gamma0 = restricted_norm(S, dich.stable_basis)
     return gamma0, bool(gamma0 < 1.0)
 
@@ -317,20 +314,19 @@ def contour_bound_integrals(model, sigma, tau, theta=1.0, psi=3 * np.pi / 4,
 
     I1 runs over the vertical segment {Re lambda = -sigma,
     |Im lambda| <= (sigma+theta)*tan(pi-psi)}; I2 over the two rays
-    lambda = gamma*e^{+-i psi} + theta.  Both weight the resolvent norm of
-    (lambda I + A) by |e^{lambda tau}|; the rays are truncated where the
-    exponential factor alone falls below tail_tol.
+    lambda = gamma*e^{+-i psi} + theta.  Both weight the resolvent norm
+    1/sigma_min(lambda I + A) by |e^{lambda tau}|; the rays are truncated
+    where the exponential factor alone falls below tail_tol.
     """
     if not (np.pi / 2 < psi < np.pi):
         raise InvalidContour("psi must lie in (pi/2, pi)")
     if theta <= 0:
         raise InvalidContour("theta must be positive")
     A = _as_matrix(model)
-    n = A.shape[0]
-    I = np.eye(n)
+    I = np.eye(A.shape[0])
 
     def res_norm(lam):
-        return _spectral_norm(np.linalg.solve(lam * I + A, I))
+        return 1.0 / np.linalg.svd(lam * I + A, compute_uv=False)[-1]
 
     X = (sigma + theta) * np.tan(np.pi - psi)
 
@@ -435,9 +431,7 @@ def sigma_ladder(model, sigma, K, gap_tol=1e-6, grid_points=1024) -> SigmaLadder
                        completion=completion, gaps=tuple(gaps))
 
 
-def tail_contraction(ladder, model, tau) -> np.ndarray:
-    """gamma_k = norm of S(tau) restricted to X_{sigma_k}, per ladder level."""
-    A = _as_matrix(model)
-    S = sla.expm(-tau * A)
+def tail_contraction(ladder, S) -> np.ndarray:
+    """gamma_k = norm of S = S(tau) restricted to X_{sigma_k}, per ladder level."""
     return np.array([restricted_norm(S, ladder.tail_basis(k))
                      for k in range(1, ladder.K + 1)])

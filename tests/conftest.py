@@ -76,8 +76,8 @@ def ref_S(ref_model):
 
 
 @pytest.fixture(scope="session")
-def ref_gamma0(ref_dichotomy, ref_model):
-    g0, ok = ks.spectral.contraction_certificate(ref_dichotomy, ref_model, REF["tau"])
+def ref_gamma0(ref_dichotomy, ref_S):
+    g0, ok = ks.spectral.contraction_certificate(ref_dichotomy, ref_S)
     assert ok
     return g0
 

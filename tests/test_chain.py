@@ -17,6 +17,7 @@ from kickstab.chain import (
 )
 from kickstab.errors import NotUnstable
 from kickstab.kicks import make_kick_law, sample_kicks
+from kickstab.spectral import semigroup
 from tests.conftest import REF
 
 
@@ -129,7 +130,7 @@ def test_ensemble_stream_contract(ref_S, ref_pi, ref_law, ref_kick_matrix, ref_w
 def test_uncontrolled_requires_instability(ref_law):
     A = np.diag([1.0, 2.0])
     with pytest.raises(NotUnstable):
-        uncontrolled_demo(A, ref_law, np.zeros(2), 10, seed=0, tau=1.0)
+        uncontrolled_demo(semigroup(A, 1.0), ref_law, np.zeros(2), 10, seed=0)
 
 
 def test_uncontrolled_pure_mode_growth():
@@ -137,22 +138,22 @@ def test_uncontrolled_pure_mode_growth():
     A = np.diag([-1.0, 2.0])
     law0 = make_kick_law(np.eye(2), 0.0, seed=0, norm_samples=0)
     w0 = np.array([1.0, 0.0])
-    traj, rate = uncontrolled_demo(A, law0, w0, 30, seed=0, tau=0.5)
+    traj, rate = uncontrolled_demo(semigroup(A, 0.5), law0, w0, 30, seed=0)
     assert_allclose(traj.norms, np.exp(0.5 * np.arange(31)), rtol=1e-12)
     assert abs(rate - 0.5) < 1e-12
 
 
-def test_uncontrolled_fitted_rate(ref_model, ref_law, ref_w0):
-    traj, rate = uncontrolled_demo(ref_model, ref_law, ref_w0, 100, seed=11, tau=2.0)
+def test_uncontrolled_fitted_rate(ref_model, ref_S, ref_law, ref_w0):
+    traj, rate = uncontrolled_demo(ref_S, ref_law, ref_w0, 100, seed=11)
     expected = -2.0 * np.linalg.eigvals(ref_model.A).real.min()
     assert abs(rate - expected) / expected < 0.10
 
 
-def test_controlled_vs_uncontrolled_divergence(ref_model, ref_S, ref_pi, ref_law,
+def test_controlled_vs_uncontrolled_divergence(ref_S, ref_pi, ref_law,
                                                ref_kick_matrix, ref_w0, ref_gamma0):
     law2 = make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
                          norm_samples=0)
-    traj_u, _ = uncontrolled_demo(ref_model, ref_law, ref_w0, 100, seed=11, tau=2.0)
+    traj_u, _ = uncontrolled_demo(ref_S, ref_law, ref_w0, 100, seed=11)
     cfg = ChainConfig(tau=2.0, n_steps=100, w0=ref_w0, seed=11)
     traj_c = run_chain(cfg, ref_S, ref_pi, law2, gamma0=ref_gamma0)
     assert traj_u.norms[-1] / traj_c.norms[-1] > 1e3

@@ -142,3 +142,49 @@ def test_stage_incremental_rerun(tmp_path):
     cert = json.load(open(os.path.join(out, "certificate.json")))
     assert cert["gamma0"] < 1.0
     assert list(map(float, cert["gamma0_grid"].keys())) == [1.0, 2.0, 4.0, 8.0]
+
+
+def test_all_builds_each_semigroup_once(tmp_path, monkeypatch):
+    # one S(tau) per distinct tau of the run: run.tau, mixing.tau and the
+    # certify grid {1, 2, 4, 8}
+    import scipy.linalg
+    real_expm = scipy.linalg.expm
+    calls = []
+
+    def counting_expm(M):
+        calls.append(M)
+        return real_expm(M)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    path = small_config(tmp_path)
+    cfg = load_config(path)
+    assert main(["all", "--config", path, "--out", os.path.join(tmp_path, "out")]) == 0
+    assert len(calls) == len({cfg.run.tau, cfg.mixing.tau, 1.0, 2.0, 4.0, 8.0})
+
+
+def test_certificate_records_riesz_schur_residual(tmp_path):
+    # default model (one unstable mode): quadrature and sorted Schur form
+    # are two independent constructions of the same spectral projector
+    path = os.path.join(tmp_path, "config.json")
+    with open(path, "w") as fh:
+        json.dump({"kick": {"eps_hat": 0.01}}, fh)
+    out = os.path.join(tmp_path, "out")
+    for stage in ("synth", "dichotomy", "certify"):
+        assert main([stage, "--config", path, "--out", out]) == 0
+    assert json.load(open(os.path.join(out, "dichotomy.json")))["m"] == 1
+    cert = json.load(open(os.path.join(out, "certificate.json")))
+    assert cert["riesz_schur_residual"] <= 1e-10
+
+
+def test_report_names_failing_checks(tmp_path, capsys):
+    path = small_config(tmp_path)
+    out = os.path.join(tmp_path, "out")
+    assert main(["all", "--config", path, "--out", out]) == 0
+    env_path = os.path.join(out, "envelope.json")
+    env = json.load(open(env_path))
+    env["n_violations"] = 1
+    with open(env_path, "w") as fh:
+        json.dump(env, fh)
+    capsys.readouterr()
+    assert main(["report", "--config", path, "--out", out]) == 1
+    assert capsys.readouterr().out == "[report] CHECK FAILED: envelope_zero_violations\n"

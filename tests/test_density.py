@@ -1,11 +1,14 @@
 """Pushforward density apparatus: bases, slices, quadrature, probes."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kickstab.cli import main
 from kickstab.density import (
     QuadratureSpec,
     boundary_exponent_probe,
@@ -485,3 +488,21 @@ def test_tv_shift_invariance(dec12, law12):
     r1 = tv_lipschitz_ratio(dec12, law12, v1, v2)
     r2 = tv_lipschitz_ratio(dec12, law12, v1 + t, v2 + t)
     assert abs(r1 - r2) < 1e-10 * max(r1, 1.0)
+
+
+@pytest.mark.parametrize("config", [
+    {"kick": {"eps_hat": 0.01}},
+    {"model": {"n_unstable": 2, "b": 2.0, "spectrum_seed": 18}, "kick": {"eps_hat": 0.01},
+     "density": {"grid_points": 32}},
+], ids=["default-m1", "m2"])
+def test_pipeline_probe_slope_matches_fiber_dimension(tmp_path, config):
+    # the fibers the density stage builds from the default pipeline and from
+    # an m = 2 pipeline; the probe's slope must sit at m/2, well inside the
+    # report's 0.15 gate
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for stage in ("synth", "dichotomy", "density"):
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    dens = json.loads((tmp_path / "out" / "density.json").read_text())
+    assert dens["m"] == config.get("model", {}).get("n_unstable", 1)
+    assert abs(dens["boundary_probe"]["slope"] - dens["expected_slope"]) <= 0.02

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
+from scipy.stats import norm
 from scipy.stats import t as t_dist
 
 import kickstab as ks
@@ -47,11 +48,10 @@ def test_observables_certified(observables):
         assert np.all(np.abs(f1 - f2) <= np.linalg.norm(w1 - w2) + 1e-12)
 
 
-def test_condition_check_reference_passes(ref_model, ref_dichotomy, ref_ladder,
+def test_condition_check_reference_passes(ref_S, ref_dichotomy, ref_ladder,
                                           ref_pi, ref_kick_matrix):
     law = fresh_law(ref_kick_matrix)
-    report = condition_check(ref_model, ref_dichotomy, ref_ladder, ref_pi, law,
-                             REF["tau"], seed=5)
+    report = condition_check(ref_dichotomy, ref_ladder, ref_pi, law, ref_S, seed=5)
     assert report["contraction"]["pass"]
     assert report["tail"]["pass"]
     assert report["tv"]["pass"]
@@ -68,27 +68,27 @@ def test_condition_check_small_tau_fails_contraction():
 
     model = Toy()
     dich = ks.spectral.eig_split(model, 0.5)
-    g0_small, ok = ks.spectral.contraction_certificate(dich, model, 0.01)
+    S_small = semigroup(model, 0.01)
+    g0_small, ok = ks.spectral.contraction_certificate(dich, S_small)
     assert g0_small >= 1.0 and not ok
     ladder = ks.spectral.sigma_ladder(model, 0.5, 2)
     from kickstab.feedback import build_pi, make_control_geometry
     geo = make_control_geometry(dich, (1, 2), seed=0)
     pi = build_pi(dich, geo)
     law = make_kick_law(np.diag([4e-4, 1e-4, 4e-5]), 0.05, seed=0, norm_samples=0)
-    report = condition_check(model, dich, ladder, pi, law, 0.01, tv_pairs=2, seed=5)
+    report = condition_check(dich, ladder, pi, law, S_small, tv_pairs=2, seed=5)
     assert not report["contraction"]["pass"]
     assert report["contraction"]["gamma0"] >= 1.0
     assert not report["all_pass"]
     # at a long enough horizon the same system certifies
-    g0_big, ok_big = ks.spectral.contraction_certificate(dich, model, 8.0)
+    g0_big, ok_big = ks.spectral.contraction_certificate(dich, semigroup(model, 8.0))
     assert ok_big and g0_big < 1.0
 
 
-def test_condition_check_degenerate_law_flagged(ref_model, ref_dichotomy,
+def test_condition_check_degenerate_law_flagged(ref_S, ref_dichotomy,
                                                 ref_ladder, ref_pi, ref_kick_matrix):
     law = fresh_law(ref_kick_matrix, eps=0.0)
-    report = condition_check(ref_model, ref_dichotomy, ref_ladder, ref_pi, law,
-                             REF["tau"], seed=5)
+    report = condition_check(ref_dichotomy, ref_ladder, ref_pi, law, ref_S, seed=5)
     assert report["tv"]["applicable"] is False
     assert report["tv"]["pass"] is None
     assert "degenerate" in report["tv"]["note"]
@@ -108,13 +108,19 @@ def test_mixing_same_start_is_noise(mix_S, ref_pi, ref_kick_matrix, ref_dichotom
     states = run_ensemble(mix_S, ref_pi, law2, w0, 200, 20, np.random.SeedSequence(98))
     vals = observables.evaluate(states.reshape(-1, REF["n"])).reshape(200, 21, -1)
     se = np.sqrt(2.0) * vals.std(axis=0, ddof=1) / np.sqrt(200)
-    assert np.all(np.abs(mA - mB) <= 3.0 * np.maximum(se, 1e-6))
+    # one z statistic per step k >= 1 and observable (step 0 is the shared
+    # start); their max is held to a Bonferroni bound at family-wise level
+    # alpha, since the max of 600 uncorrected |z| values exceeds a fixed 3.0
+    # for most correct ensembles
+    z = (np.abs(mA - mB) / np.maximum(se, 1e-6))[1:]
+    alpha = 0.01
+    assert z.max() <= norm.ppf(1 - alpha / (2 * z.size))
 
 
 def test_mixing_deterministic_bound_without_kicks(mix_S, ref_pi, ref_kick_matrix,
-                                                  ref_dichotomy, ref_model, observables):
+                                                  ref_dichotomy, observables):
     law = fresh_law(ref_kick_matrix, eps=0.0)
-    g0, _ = ks.spectral.contraction_certificate(ref_dichotomy, ref_model, MIX_TAU)
+    g0, _ = ks.spectral.contraction_certificate(ref_dichotomy, mix_S)
     w0a = stable_state(ref_dichotomy, 0.5, seed=3)
     w0b = -w0a
     wa, wb = w0a.copy(), w0b.copy()
@@ -125,7 +131,7 @@ def test_mixing_deterministic_bound_without_kicks(mix_S, ref_pi, ref_kick_matrix
 
 
 def test_mixing_reference_fit(mix_S, ref_pi, ref_kick_matrix, ref_dichotomy,
-                              ref_model, observables):
+                              observables):
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     rep = mixing_decay(mix_S, ref_pi, law, w0, -w0, 500, 100, observables,
@@ -133,7 +139,7 @@ def test_mixing_reference_fit(mix_S, ref_pi, ref_kick_matrix, ref_dichotomy,
     assert rep.conclusive
     assert rep.gamma_fit is not None and rep.gamma_fit < 1.0
     assert rep.r2 > 0.9
-    g0, _ = ks.spectral.contraction_certificate(ref_dichotomy, ref_model, MIX_TAU)
+    g0, _ = ks.spectral.contraction_certificate(ref_dichotomy, mix_S)
     assert rep.gamma_fit <= g0 + 0.05
 
 

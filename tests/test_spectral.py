@@ -58,10 +58,11 @@ def test_split_invariants(ref_model, ref_dichotomy):
     assert np.linalg.matrix_rank(d.P_sigma, tol=1e-8) == n - d.m
     # columns of P_sigma annihilated by D^T
     assert np.linalg.norm(d.D.T @ d.P_sigma) < 1e-10
-    # Riesz projector: idempotent, trace m, commutes with A
-    assert np.linalg.norm(d.P_riesz @ d.P_riesz - d.P_riesz) < 1e-10
-    assert abs(np.trace(d.P_riesz) - d.m) < 1e-6
-    assert np.linalg.norm(d.P_riesz @ ref_model.A - ref_model.A @ d.P_riesz) < 1e-8
+    # Schur spectral projector: idempotent, trace m, commutes with A
+    P = sp._spectral_projector_schur(ref_model.A, d.sigma)
+    assert np.linalg.norm(P @ P - P) < 1e-10
+    assert abs(np.trace(P) - d.m) < 1e-6
+    assert np.linalg.norm(P @ ref_model.A - ref_model.A @ P) < 1e-8
     # S-invariance of X_sigma at the certified tau
     S = semigroup(ref_model, 2.0)
     assert np.linalg.norm(d.D.T @ S @ d.P_sigma) < 1e-8
@@ -145,7 +146,7 @@ def test_semigroup_product_property(ref_model):
 def test_contraction_normal_case():
     A = np.diag([-1.0, 1.0, 2.0])
     d = eig_split(A, 0.5)
-    g0, ok = contraction_certificate(d, A, 1.0)
+    g0, ok = contraction_certificate(d, semigroup(A, 1.0))
     assert ok
     assert abs(g0 - np.exp(-1.0)) < 1e-12
 
@@ -154,7 +155,7 @@ def test_contraction_nonnormal_transient():
     A = np.array([[1.0, 100.0], [0.0, 1.0]])
     d = eig_split(A, 0.5)   # no eigenvalue below 0.5: full space
     assert d.m == 0
-    g0, ok = contraction_certificate(d, A, 0.01)
+    g0, ok = contraction_certificate(d, semigroup(A, 0.01))
     # dense norm oracle
     oracle = np.linalg.svd(expm(-0.01 * A), compute_uv=False)[0]
     assert abs(g0 - oracle) < 1e-12
@@ -162,7 +163,8 @@ def test_contraction_nonnormal_transient():
 
 
 def test_contraction_decreasing_in_tau(ref_model, ref_dichotomy):
-    vals = [contraction_certificate(ref_dichotomy, ref_model, t)[0] for t in (1.0, 2.0, 4.0)]
+    vals = [contraction_certificate(ref_dichotomy, semigroup(ref_model, t))[0]
+            for t in (1.0, 2.0, 4.0)]
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -274,7 +276,7 @@ def test_tail_contraction_diagonal_oracle():
     model = _selfadjoint_model(n=40, beta0=1.3)
     ladder = sigma_ladder(model, 0.5, 2)
     tau = 1.5
-    gammas = tail_contraction(ladder, model, tau)
+    gammas = tail_contraction(ladder, semigroup(model, tau))
     mu = np.diag(model.A)
     for k, sk in enumerate(ladder.sigma_list, start=1):
         above = mu[mu > sk]
@@ -282,8 +284,8 @@ def test_tail_contraction_diagonal_oracle():
         assert abs(gammas[k - 1] - expected) < 1e-12
 
 
-def test_tail_contraction_reference(ref_model, ref_ladder, ref_gamma0):
-    gammas = tail_contraction(ref_ladder, ref_model, 2.0)
+def test_tail_contraction_reference(ref_S, ref_ladder, ref_gamma0):
+    gammas = tail_contraction(ref_ladder, ref_S)
     assert gammas[0] > gammas[1] > gammas[2]
     assert gammas[-1] == 0.0   # exhausted level
     assert gammas[-1] < 0.5 * ref_gamma0
