@@ -6,8 +6,11 @@ vanishing on the observable coordinates, the projection
     Pi phi = phi + sum_j c_j g_j,   with  M c = -D^T phi,  M_kj = <d_k, g_j>,
 
 is the identity on X_sigma, leaves observable coordinates untouched, and
-lands in X_sigma.  The extension operator lifts data given on the
-observable coordinates by zero (minimal-norm lift) and applies the same
+lands in X_sigma.  D holds the orthonormal adjoint unstable basis d_1..d_m
+(columns of ``Dichotomy.D``).  Pi depends on span D only: D -> D R with R
+invertible sends G -> G R (default directions) and M -> R^T M R, which
+leaves G M^{-1} D^T unchanged.  The extension operator lifts data given on
+the observable coordinates by zero (minimal-norm lift) and applies the same
 correction.
 """
 
@@ -60,7 +63,7 @@ def _gram(D, G):
 
 
 def make_control_geometry(dich, obs_idx, seed=0, max_retries=8) -> ControlGeometry:
-    """Default control directions: d_j restricted to the complement of obs_idx.
+    """Default control directions: the columns of D, zeroed on obs_idx.
 
     Falls back to random directions (seeded) when the Gram matrix is too
     ill-conditioned; raises SingularGram when no retry succeeds.

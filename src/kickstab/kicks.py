@@ -132,7 +132,10 @@ def ball_mass(cov_eigs, radius) -> float:
     Ruben's series (Ann. Math. Statist. 33, 1962) with beta = min lambda:
     P = sum_k c_k F_{n+2k}(radius^2 / beta), F_d the chi-square cdf with d
     degrees of freedom, c_0 = prod (beta/lambda_i)^(1/2) and
-    c_k = (1/2k) sum_{j<k} g_{k-j} c_j with g_j = sum_i (1 - beta/lambda_i)^j.
+    c_k = (1/2k) sum_{j<k} g_{k-j} c_j with g_j = sum_i rho_i^j,
+    rho_i = 1 - beta/lambda_i.  The convolution is carried per eigenvalue,
+    h_i <- rho_i (h_i + c_{k-1}) and c_k = sum_i h_i / 2k, so a term costs
+    O(n) and every addend stays nonnegative.
     The c_k are nonnegative and sum to 1, and F decreases in d, so after K
     terms the rest is at most (1 - sum c) F_{n+2K}; the sum stops when that
     bound is below 1e-15.  Raises DegenerateCovariance when it has not after
@@ -147,20 +150,17 @@ def ball_mass(cov_eigs, radius) -> float:
     beta = float(lam.min())
     x = float(radius) ** 2 / beta
     rho = 1.0 - beta / lam
-    c = np.empty(_RUBEN_MAX_TERMS)
-    g = np.empty(_RUBEN_MAX_TERMS)
-    c[0] = float(np.prod(np.sqrt(beta / lam)))
-    power = np.ones(n)
+    c = float(np.prod(np.sqrt(beta / lam)))
+    h = np.zeros(n)   # h_i = sum_{j<k} rho_i^(k-j) c_j
     total = 0.0
     rest = 1.0
     for k in range(_RUBEN_MAX_TERMS):
         if k:
-            power *= rho
-            g[k] = power.sum()
-            c[k] = float(g[k:0:-1] @ c[:k]) / (2 * k)
+            h = rho * (h + c)
+            c = float(h.sum()) / (2 * k)
         F = float(chdtr(n + 2 * k, x))
-        total += c[k] * F
-        rest -= c[k]
+        total += c * F
+        rest -= c
         if rest * F < _RUBEN_TOL:
             return min(total, 1.0)
     raise DegenerateCovariance(

@@ -125,7 +125,7 @@ class OseenModel:
             A1=A1,
             relative_bound_b=doc["relative_bound_b"],
             obs_idx=tuple(doc["obs_idx"]),
-            spectrum_cache=_spectrum_cache(A),
+            spectrum_cache=_spectrum_cache(np.linalg.eigvals(A)),
             spectrum=spec,
             seed=doc["seed"],
         )
@@ -157,9 +157,8 @@ def synth_stokes_spectrum(n, d, beta0, remainder_scale, seed) -> StokesSpectrum:
     return StokesSpectrum(n=n, d=d, beta0=beta0, mu=mu, remainder_scale=remainder_scale, seed=seed)
 
 
-def _spectrum_cache(A, tol=1e-9) -> tuple:
-    """Cluster the dense eigenvalues of A into (re, im, multiplicity) records."""
-    ev = np.linalg.eigvals(A)
+def _spectrum_cache(ev, tol=1e-9) -> tuple:
+    """Cluster dense eigenvalues into (re, im, multiplicity) records."""
     order = np.lexsort((ev.imag, ev.real))
     ev = ev[order]
     records = []
@@ -170,10 +169,6 @@ def _spectrum_cache(A, tol=1e-9) -> tuple:
         else:
             records.append((float(lam.real), float(lam.imag), 1))
     return tuple(records)
-
-
-def _unstable_count(A, sigma) -> int:
-    return int(np.sum(np.linalg.eigvals(A).real < sigma))
 
 
 def build_oseen(spec, b, n_unstable, sigma, obs_idx, seed,
@@ -200,24 +195,24 @@ def build_oseen(spec, b, n_unstable, sigma, obs_idx, seed,
         raise ValueError("obs_idx out of range")
     rng = np.random.default_rng(seed)
 
-    def finish(A1):
-        A = A0 + A1
+    def finish(A1, ev):
         return OseenModel(
-            n=n, A=A, A0=A0, A1=A1,
+            n=n, A=A0 + A1, A0=A0, A1=A1,
             relative_bound_b=float(b),
             obs_idx=obs_idx,
-            spectrum_cache=_spectrum_cache(A),
+            spectrum_cache=_spectrum_cache(ev),
             spectrum=spec,
             seed=seed,
         )
 
     if b == 0.0:
-        A1 = np.zeros((n, n))
-        if _unstable_count(A0, sigma) != n_unstable:
+        ev = np.linalg.eigvals(A0)
+        count = int(np.sum(ev.real < sigma))
+        if count != n_unstable:
             raise ConstructionFailed(
-                f"b=0 leaves {_unstable_count(A0, sigma)} eigenvalues below sigma, "
+                f"b=0 leaves {count} eigenvalues below sigma, "
                 f"wanted {n_unstable}", attempts=1)
-        return finish(A1)
+        return finish(np.zeros((n, n)), ev)
 
     shift = np.zeros((n, n))
     if n_unstable > 0:
@@ -238,7 +233,7 @@ def build_oseen(spec, b, n_unstable, sigma, obs_idx, seed,
             A = A0 + A1
             ev = np.linalg.eigvals(A)
             if int(np.sum(ev.real < sigma)) == n_unstable and np.min(np.abs(ev.real - sigma)) > gap_tol:
-                return finish(A1)
+                return finish(A1, ev)
     raise ConstructionFailed(
         f"could not realize {n_unstable} unstable eigenvalues at sigma={sigma} "
         f"with b={b}", attempts=attempts)

@@ -1,10 +1,11 @@
 """Spectral dichotomy at a level sigma, Riesz projectors, and contraction.
 
-The splitting works with the adjoint unstable basis d_1..d_m (eigenvectors
-and associated vectors of A^T for eigenvalues with Re < sigma, conjugate
-pairs replaced by real/imaginary parts).  X_sigma is the orthogonal
-complement of span{d_j}; it is invariant under S(tau) = e^{-A tau} and the
-restricted operator norm there is the contraction constant gamma_0.
+The splitting works with the adjoint unstable basis d_1..d_m: orthonormal
+Schur vectors of A^T spanning its invariant subspace for the eigenvalues
+with Re < sigma, read off one ordered real Schur form (``_ordered_schur``),
+defective or not.  X_sigma is the orthogonal complement of span{d_j}; it is
+invariant under S(tau) = e^{-A tau} and the restricted operator norm there
+is the contraction constant gamma_0.
 
 S(tau) is formed only by ``semigroup``; callers build it once per tau and
 pass it to the contraction constants.  certify checks the quadrature
@@ -12,7 +13,8 @@ projector ``riesz_projector`` against the sorted real Schur one.
 
 A ladder of higher levels sigma_1 < ... < sigma_K, one per segment
 Delta_k = [e^{2k/d}, e^{2(k+1)/d}], carries the tail-contraction constants
-gamma_k used by the ergodicity hypotheses.
+gamma_k used by the ergodicity hypotheses.  The same Schur form, re-sorted
+at each lower level, gives every nested subspace of the ladder at once.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ def _spectral_norm(M) -> float:
 
 @dataclass(frozen=True)
 class Dichotomy:
-    """Orthogonal stable/unstable splitting of R^n at level sigma (no spectral projector)."""
+    """Orthogonal stable/unstable splitting of R^n at level sigma.
+
+    D and stable_basis are orthonormal; P_sigma = I - D D^T.
+    """
 
     sigma: float
     m: int
-    D: np.ndarray        # n x m adjoint unstable basis (real-ified, unit columns)
-    Eb: np.ndarray       # n x m orthonormalization of D
+    D: np.ndarray        # n x m orthonormal adjoint unstable basis (Schur vectors)
     P_sigma: np.ndarray  # orthogonal projector onto X_sigma = (span D)^perp
     gap: float           # distance from {Re = sigma} to the spectrum
     stable_basis: np.ndarray  # n x (n-m) orthonormal basis of X_sigma
@@ -74,90 +78,30 @@ class Dichotomy:
             "m": self.m,
             "gap": self.gap,
             "D": self.D.ravel().tolist(),
-            "Eb": self.Eb.ravel().tolist(),
         }
 
 
-def _realify_ordered(w, V, sel, pair_tol=1e-9):
-    """Real-ified eigenvector columns for the selected indices.
+def _ordered_schur(A, levels):
+    """Orthogonal Z and counts with nested adjoint invariant subspaces.
 
-    Ordering: ascending real part, then ascending |imaginary part|, then
-    original index.  A conjugate pair contributes (Re v, Im v) of its
-    Im > 0 member.  Columns are unit-normalized with the largest-magnitude
-    entry made positive.
+    For ascending levels, the first counts[i] columns of Z span the invariant
+    subspace of A^T for the eigenvalues with Re < levels[i].  One real Schur
+    form of A^T is sorted at the top level, and each leading block is then
+    re-sorted at the next lower level, which keeps every higher prefix's span
+    (Bai & Demmel, Linear Algebra Appl. 186, 1993).  Each column is signed
+    so that its largest-magnitude entry is positive.
     """
-    order = sorted(sel, key=lambda i: (w[i].real, abs(w[i].imag), i))
-    used = set()
-    cols = []
-    for i in order:
-        if i in used:
-            continue
-        lam, v = w[i], V[:, i]
-        k = int(np.argmax(np.abs(v)))
-        v = v * np.exp(-1j * np.angle(v[k]))
-        if abs(lam.imag) <= pair_tol:
-            used.add(i)
-            vr = np.real(v)
-            vr = vr / np.linalg.norm(vr)
-            if vr[int(np.argmax(np.abs(vr)))] < 0:
-                vr = -vr
-            cols.append(vr)
-        else:
-            partner = None
-            for j in order:
-                if j not in used and j != i and abs(w[j] - np.conj(lam)) <= pair_tol * (1 + abs(lam)):
-                    partner = j
-                    break
-            used.add(i)
-            if partner is not None:
-                used.add(partner)
-            if lam.imag < 0:
-                v = np.conj(v)
-            v = v / np.linalg.norm(v)
-            for part in (np.real(v), np.imag(v)):
-                nrm = np.linalg.norm(part)
-                if nrm < 1e-14:
-                    continue
-                part = part / nrm
-                if part[int(np.argmax(np.abs(part)))] < 0:
-                    part = -part
-                cols.append(part)
-    return cols
-
-
-def _adjoint_unstable_basis(A, sigma):
-    """Basis of the span of adjoint eigenvectors for eigenvalues Re < sigma."""
-    n = A.shape[0]
-    w, V = np.linalg.eig(A.T)
-    sel = [i for i in range(n) if w[i].real < sigma]
-    m = len(sel)
-    if m == 0:
-        return np.zeros((n, 0)), 0
-    cols = _realify_ordered(w, V, sel)
-    D = np.column_stack(cols) if cols else np.zeros((n, 0))
-    if D.shape[1] != m or np.linalg.matrix_rank(D, tol=1e-10) < m:
-        # defective cluster: fall back to the ordered real Schur invariant basis
-        T, Z, sdim = sla.schur(A.T, output="real", sort=lambda re, im: re < sigma)
-        D = Z[:, :sdim]
-        m = sdim
-    return D, m
-
-
-def _orthonormalize(D):
-    """Modified Gram-Schmidt; prefix spans are preserved."""
-    n, m = D.shape
-    Q = np.zeros((n, m))
-    for j in range(m):
-        v = D[:, j].copy()
-        for i in range(j):
-            v -= (Q[:, i] @ v) * Q[:, i]
-        for i in range(j):  # second pass for numerical orthogonality
-            v -= (Q[:, i] @ v) * Q[:, i]
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise np.linalg.LinAlgError("rank-deficient basis in Gram-Schmidt")
-        Q[:, j] = v / nrm
-    return Q
+    T, Z, k = sla.schur(A.T, output="real", sort=lambda re, im: re < levels[-1])
+    counts = [k]
+    for level in reversed(levels[:-1]):
+        if k:
+            T, Q, k_next = sla.schur(T[:k, :k], output="real",
+                                     sort=lambda re, im: re < level)
+            Z[:, :k] = Z[:, :k] @ Q
+            k = k_next
+        counts.append(k)
+    lead = Z[np.argmax(np.abs(Z), axis=0), np.arange(Z.shape[1])]
+    return Z * np.sign(lead), counts[::-1]
 
 
 def _complement_basis(Q):
@@ -198,12 +142,11 @@ def eig_split(model, sigma, gap_tol=1e-6) -> Dichotomy:
     gap = float(np.min(np.abs(ev.real - sigma))) if ev.size else np.inf
     if gap < gap_tol:
         raise GapViolation(f"eigenvalue real part within {gap_tol} of sigma={sigma} (gap={gap:.3e})")
-    D, m = _adjoint_unstable_basis(A, sigma)
-    Eb = _orthonormalize(D) if m else np.zeros((A.shape[0], 0))
-    P_sigma = np.eye(A.shape[0]) - Eb @ Eb.T
-    stable = _complement_basis(Eb)
-    return Dichotomy(sigma=float(sigma), m=m, D=D, Eb=Eb, P_sigma=P_sigma,
-                     gap=gap, stable_basis=stable)
+    Z, (m,) = _ordered_schur(A, [sigma])
+    D = Z[:, :m]
+    P_sigma = np.eye(A.shape[0]) - D @ D.T
+    return Dichotomy(sigma=float(sigma), m=m, D=D, P_sigma=P_sigma,
+                     gap=gap, stable_basis=_complement_basis(D))
 
 
 def _rectangle_nodes(re_lo, re_hi, im_lo, im_hi, n_nodes):
@@ -352,10 +295,10 @@ def contour_bound_integrals(model, sigma, tau, theta=1.0, psi=3 * np.pi / 4,
 class SigmaLadder:
     """Increasing levels sigma < sigma_1 < ... < sigma_K with nested bases.
 
-    E_all holds the ordered orthonormal ladder e_1..e_{n_K}; its first m
-    columns span X_sigma^perp and columns m..n_k span the middle block
-    between sigma and sigma_k.  completion is a full orthogonal completion
-    of E_all, so columns n_k.. span X_{sigma_k}.
+    completion is one orthogonal matrix of ordered Schur vectors of A^T and
+    E_all its first n_K columns: the first m span X_sigma^perp, columns
+    m..n_k span the middle block between sigma and sigma_k, and columns
+    n_k.. span X_{sigma_k}.
     """
 
     sigma: float
@@ -405,7 +348,7 @@ def sigma_ladder(model, sigma, K, gap_tol=1e-6, grid_points=1024) -> SigmaLadder
     A = _as_matrix(model)
     d = getattr(model, "d", 2)
     ev_re = np.linalg.eigvals(A).real
-    sigma_list, n_list, gaps = [], [], []
+    sigma_list, gaps = [], []
     for k in range(1, K + 1):
         lo, hi = np.exp(2.0 * k / d), np.exp(2.0 * (k + 1) / d)
         grid = np.linspace(lo, hi, grid_points)
@@ -417,18 +360,13 @@ def sigma_ladder(model, sigma, K, gap_tol=1e-6, grid_points=1024) -> SigmaLadder
         if sigma_list and sk <= sigma_list[-1]:
             raise EmptyGap(f"levels not increasing at segment {k}")
         sigma_list.append(sk)
-        n_list.append(int(np.sum(ev_re < sk)))
         gaps.append(float(dist[best]))
     if sigma_list[0] <= sigma:
         raise ValueError("sigma must lie below the first ladder segment")
-    D_all, n_K = _adjoint_unstable_basis(A, sigma_list[-1])
-    assert n_K == n_list[-1]
-    m = int(np.sum(ev_re < sigma))
-    E_all = _orthonormalize(D_all) if n_K else np.zeros((A.shape[0], 0))
-    completion = np.hstack([E_all, _complement_basis(E_all)])
+    Z, (m, *n_list) = _ordered_schur(A, [sigma, *sigma_list])
     return SigmaLadder(sigma=float(sigma), sigma_list=tuple(sigma_list),
-                       n_list=tuple(n_list), m=m, E_all=E_all,
-                       completion=completion, gaps=tuple(gaps))
+                       n_list=tuple(n_list), m=m, E_all=Z[:, :n_list[-1]],
+                       completion=Z, gaps=tuple(gaps))
 
 
 def tail_contraction(ladder, S) -> np.ndarray:

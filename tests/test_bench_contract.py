@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from kickstab.chain import run_ensemble
+from kickstab.cli import Pipeline
+from kickstab.config import config_from_dict
 from kickstab.density import (
     DEFAULT_QUAD,
     build_pi_decomposition,
@@ -77,3 +79,14 @@ def test_chain_hooks_read_step_counts(ref_S, ref_pi, ref_law, ref_w0, ref_gamma0
     for fn, args, kwargs in calls:
         hook = lt._info_hook("n_steps", fn)
         assert hook(args, kwargs, fn(*args, **kwargs)) == {"steps": 60}
+
+
+def test_pipeline_dichotomy_exposes_stable_basis(tmp_path):
+    # perfbench/selftest.py starts its traced chains at
+    # Pipeline.dichotomy().stable_basis[:, 0]
+    pipe = Pipeline(config_from_dict({"kick": {"eps_hat": 0.01}}), str(tmp_path))
+    dich = pipe.dichotomy()
+    U = dich.stable_basis
+    assert U.shape == (dich.n, dich.n - dich.m)
+    assert np.linalg.norm(U.T @ U - np.eye(U.shape[1])) < 1e-12
+    assert np.linalg.norm(dich.D.T @ U) < 1e-12

@@ -152,6 +152,13 @@ def test_ball_mass_closed_forms():
         assert abs(ball_mass([a, a, b, b], np.sqrt(q)) - exact) < 1e-13
 
 
+def test_ball_mass_near_singular_raises():
+    # lambda_max/lambda_min = 1e5 at r^2/lambda_min = 9e9: the series does not
+    # reach its tail bound within its term cap
+    with pytest.raises(DegenerateCovariance, match="did not converge"):
+        ball_mass([1.0, 1e-5], 300.0)
+
+
 def test_ball_mass_against_mc():
     rng = np.random.default_rng(0)
     lam = np.array([0.9, 0.3, 0.05])
@@ -185,7 +192,7 @@ def test_membership_scalar_boundary():
 def test_membership_of_projected_samples(ref_pi, ref_law, ref_dichotomy):
     # Pi phi always lands inside the pushforward ellipsoid of the kick ball
     dich = ref_dichotomy
-    E_unstable = dich.Eb
+    E_unstable = dich.D
     stable = dich.stable_basis
     A_op = stable.T @ ref_pi.Pi_mat @ E_unstable  # X_sigma^perp -> X_sigma, orthonormal coords
     rng = ref_law.stream(9)

@@ -1,5 +1,7 @@
 """Dichotomy, Riesz quadrature, semigroup, contraction, ladder."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -77,6 +79,18 @@ def test_split_conjugate_pair_realified():
     assert np.all(np.isreal(d.D))
     # span – the invariant plane of the pair
     assert np.linalg.norm(d.D[2, :]) < 1e-12
+
+
+def test_split_coupled_pair_orthonormal():
+    # non-normal coupling: the real and imaginary parts of the pair's
+    # eigenvector are not orthogonal, but D is an orthonormal basis
+    A = np.array([[-1.0, -2.0, 0.0, 0.3], [0.5, -1.0, 0.4, 0.0],
+                  [0.0, 0.2, 3.0, 0.1], [0.1, 0.0, 0.0, 5.0]])
+    d = eig_split(A, 0.0)
+    assert d.m == 2
+    assert np.linalg.norm(d.D.T @ d.D - np.eye(2)) <= 1e-13
+    # span D is invariant under A^T
+    assert np.linalg.norm(d.P_sigma @ A.T @ d.D) < 1e-12
 
 
 # -- riesz_projector -------------------------------------------------------
@@ -254,6 +268,24 @@ def test_ladder_reconstruction(ref_ladder, ref_model):
     tail = ref_ladder.tail_basis(ref_ladder.K)
     u = E1 @ (E1.T @ v) + mid @ (mid.T @ v) + tail @ (tail.T @ v)
     assert np.linalg.norm(u - v) < 1e-10
+
+
+def test_ladder_defective_cluster_nested():
+    # a Jordan block at 4 beside simple eigenvalues -0.5, 10, 30, 60
+    A = np.diag([10.0, 4.0, 4.0, -0.5, 30.0, 60.0])
+    A[1, 2] = 1.0
+    ladder = sigma_ladder(SimpleNamespace(A=A, d=2), 0.5, 3)
+    ev_re = np.linalg.eigvals(A).real
+
+    def block_spectrum(H):
+        return np.sort(np.linalg.eigvals(H.T @ A.T @ H).real)
+
+    assert_allclose(block_spectrum(ladder.E_all[:, :ladder.m]), [-0.5], atol=1e-12)
+    for k, sk in enumerate(ladder.sigma_list, start=1):
+        expected = np.sort(ev_re[ev_re < sk])
+        assert ladder.n_list[k - 1] == expected.size
+        assert_allclose(block_spectrum(ladder.head_basis(k)), expected, atol=1e-6)
+    assert_allclose(ladder.completion.T @ ladder.completion, np.eye(6), atol=1e-13)
 
 
 def test_ladder_empty_gap():
