@@ -162,6 +162,18 @@ def test_all_builds_each_semigroup_once(tmp_path, monkeypatch):
     assert len(calls) == len({cfg.run.tau, cfg.mixing.tau, 1.0, 2.0, 4.0, 8.0})
 
 
+def test_pipeline_semigroup_is_expm(tmp_path):
+    # the S(tau) the chains step with is scaling-and-squaring, bit for bit
+    import scipy.linalg
+    from kickstab.cli import Pipeline
+
+    cfg = config_from_dict({"kick": {"eps_hat": 0.01}})
+    pipe = Pipeline(cfg, os.path.join(tmp_path, "out"))
+    A = pipe.model().A
+    for tau in (cfg.run.tau, cfg.mixing.tau):
+        assert np.array_equal(pipe.semigroup(tau), scipy.linalg.expm(-tau * A))
+
+
 def test_certificate_records_riesz_schur_residual(tmp_path):
     # default model (one unstable mode): quadrature and sorted Schur form
     # are two independent constructions of the same spectral projector

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 import kickstab.spectral as sp
@@ -19,6 +20,7 @@ from kickstab.spectral import (
     tail_contraction,
 )
 from kickstab.model_builder import build_oseen, synth_stokes_spectrum
+from tests.conftest import REF
 
 
 def _selfadjoint_model(n=16, beta0=1.3):
@@ -117,6 +119,20 @@ def test_riesz_matches_eigensolver_projector():
     assert np.linalg.norm(Pq - Ps) < 1e-8
 
 
+def test_riesz_schur_coordinates_match_sorted_schur(ref_model):
+    # the default model, and a dense non-normal matrix with a Jordan block
+    # at -1 inside the contour
+    rng = np.random.default_rng(4)
+    T = np.diag([-1.0, -1.0, 2.0, 3.0, 4.5, 6.0])
+    T[0, 1] = 1.0
+    T += 0.5 * np.triu(rng.standard_normal((6, 6)), 2)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    for A in (ref_model, Q @ T @ Q.T):
+        P = riesz_projector(A, REF["sigma"])
+        Ps = sp._spectral_projector_schur(getattr(A, "A", A), REF["sigma"])
+        assert np.linalg.norm(P - Ps) < 1e-12
+
+
 def test_riesz_node_floor():
     with pytest.raises(ValueError):
         riesz_projector(np.diag([1.0, 2.0]), 0.5, n_nodes=8)
@@ -213,6 +229,52 @@ def test_contour_integrals_sigma_independent_constant():
         I1, I2 = contour_bound_integrals(model, sigma, tau)
         scaled.append((I1 + I2) * np.exp(sigma * tau))
     assert max(scaled) / min(scaled) < 2.0
+
+
+def _adaptive_contour_integrals(A, sigma, tau, theta=1.0, psi=3 * np.pi / 4):
+    """(I1, I2) by adaptive quadrature over the integrands in gamma."""
+    I = np.eye(A.shape[0])
+
+    def res_norm(lam):
+        return 1.0 / np.linalg.svd(lam * I + A, compute_uv=False)[-1]
+
+    X = (sigma + theta) * np.tan(np.pi - psi)
+    I1 = quad(lambda x: res_norm(complex(-sigma, x)) * np.exp(-sigma * tau),
+              -X, X, limit=200)[0]
+    g0 = (sigma + theta) / abs(np.cos(psi))
+    g_max = g0 + (abs(np.log(1e-16)) / tau + theta) / abs(np.cos(psi))
+    I2 = quad(lambda g: res_norm(g * np.exp(1j * psi) + theta)
+              * np.exp((g * np.cos(psi) + theta) * tau), g0, g_max, limit=200)[0]
+    return I1, 2.0 * I2
+
+
+def test_contour_fixed_rules_match_adaptive_quadrature(ref_model, ref_dichotomy):
+    sigma = REF["sigma"]
+    for tau in (1.0, 2.0, 4.0, 8.0):
+        I1, I2 = contour_bound_integrals(ref_model, sigma, tau)
+        J1, J2 = _adaptive_contour_integrals(ref_model.A, sigma, tau)
+        assert abs(I1 / J1 - 1) < 1e-9
+        assert abs(I2 / J2 - 1) < 1e-4
+        # the Dunford bound on S(tau) restricted to X_sigma
+        gamma0 = contraction_certificate(ref_dichotomy, semigroup(ref_model, tau))[0]
+        assert gamma0 <= (I1 + I2) / (2 * np.pi)
+
+
+def test_contour_integrals_memory_bounded():
+    # one node's matrix at a time: stacking all 48 nodes at n = 200 would
+    # take 31 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(2)
+    A = np.diag(np.linspace(1.0, 50.0, 200)) + 0.3 * rng.standard_normal((200, 200))
+    tracemalloc.start()
+    try:
+        I1, I2 = contour_bound_integrals(A, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(I1 + I2)
+    assert peak < 16 * 2 ** 20
 
 
 def test_contour_invalid_psi():
