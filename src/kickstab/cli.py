@@ -291,11 +291,9 @@ class Pipeline:
             doc["integral"] = density_mass(dec, law, quad)
             # Monte Carlo oracle spot checks on the densest grid points
             top = np.argsort(P)[::-1][:cfg.density.probe_points]
-            rows = []
-            for idx in top:
-                est, se = mc_density_oracle(dec, law, xs[idx], cfg.density.mc_oracle_samples,
-                                            seed=cfg.kick.seed)
-                rows.append(list(xs[idx]) + [P[idx], est, se])
+            mc = mc_density_oracle(dec, law, xs[top], cfg.density.mc_oracle_samples,
+                                   seed=cfg.kick.seed)
+            rows = [list(xs[idx]) + [P[idx], est, se] for idx, (est, se) in zip(top, mc)]
             pm = self.path("density_mc.csv")
             emit_series(pm, [f"x{i+1}" for i in range(dec.nm)] + ["P", "mc_est", "mc_se"], rows)
             files.append(pm)

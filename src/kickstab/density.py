@@ -363,22 +363,27 @@ def density_mass(dec, law, quad=DEFAULT_QUAD) -> float:
     return float(abs(np.linalg.det(T)) * (P @ weights))
 
 
-def mc_density_oracle(dec, law, x, n_samples, seed=0):
-    """Independent density estimate by conditional (Rao-Blackwellised) Monte Carlo.
+def mc_density_oracle(dec, law, points, n_samples, seed=0):
+    """Independent density estimates by conditional (Rao-Blackwellised) Monte Carlo.
 
-    Draws z_i = (u_i, v_i) ~ N(0, K) without truncation.  The density of
-    x = alpha u + v is E[g(v | u) at v = x - alpha u, times 1{|u|^2 + |v|^2
-    <= eps^2}] divided by the ball mass p = P(|z| <= eps); both are sample
-    means over the same draws, f_bar and p_hat.  The standard error is the
-    delta-method error of the ratio, sqrt(mean((f_i - est b_i)^2) / N) / p_hat
-    with b_i the ball indicator, so it includes the error of p_hat; for m = 0
-    that term is all of it.  Uses neither R, J nor the slice quadrature.
+    Draws z_i = (u_i, v_i) ~ N(0, K) without truncation, once for all points.
+    The density of x = alpha u + v is E[g(v | u) at v = x - alpha u, times
+    1{|u|^2 + |v|^2 <= eps^2}] divided by the ball mass p = P(|z| <= eps);
+    both are sample means over the same draws, f_bar and p_hat.  The standard
+    error is the delta-method error of the ratio,
+    sqrt(mean((f_i - est b_i)^2) / N) / p_hat with b_i the ball indicator, so
+    it includes the error of p_hat; for m = 0 that term is all of it.  Uses
+    neither R, J nor the slice quadrature.
 
-    Returns (estimate, standard error).  Requires n_samples >= 10^4.
+    ``points`` has shape (k, nm).  Returns one (estimate, standard error) per
+    point; each equals, bit for bit, the result for that point alone.
+    Requires n_samples >= 10^4.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10^4")
-    x = np.asarray(x, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dec.nm:
+        raise ValueError(f"points must have shape (k, {dec.nm})")
     m = dec.m
     K = law.K
     rng = np.random.default_rng(seed)
@@ -391,14 +396,23 @@ def mc_density_oracle(dec, law, x, n_samples, seed=0):
     # v | u ~ N(C u, S): C = K_vu K_uu^-1, S = K_vv - C K_uv
     C = np.linalg.solve(K[:m, :m], K[:m, m:]).T
     S = K[m:, m:] - C @ K[:m, m:]
-    v = x[None, :] - u @ dec.alpha.T
-    in_ball = np.einsum("ij,ij->i", u, u) + np.einsum("ij,ij->i", v, v) <= law.eps ** 2
-    resid = v - u @ C.T
+    ua, uc, uu = u @ dec.alpha.T, u @ C.T, np.einsum("ij,ij->i", u, u)
+    del z, u
     _, logdet = np.linalg.slogdet(2 * np.pi * S)
-    qf = np.einsum("ij,ij->i", resid @ np.linalg.inv(S), resid)
+    S_inv = np.linalg.inv(S)
+    return [_mc_point(x, ua, uc, uu, b, S_inv, logdet, law.eps ** 2, p_hat) for x in points]
+
+
+def _mc_point(x, ua, uc, uu, b, S_inv, logdet, eps2, p_hat):
+    """(estimate, standard error) of the oracle at one point; its temporaries die here."""
+    v = x[None, :] - ua
+    in_ball = uu + np.einsum("ij,ij->i", v, v) <= eps2
+    v -= uc  # the residual v - C u, in place
+    qf = np.einsum("ij,ij->i", v @ S_inv, v)
+    del v
     f = np.where(in_ball, np.exp(-0.5 * (qf + logdet)), 0.0)
     est = float(np.mean(f)) / p_hat
-    se = float(np.sqrt(np.mean((f - est * b) ** 2) / n_samples)) / p_hat
+    se = float(np.sqrt(np.mean((f - est * b) ** 2) / len(f))) / p_hat
     return est, se
 
 

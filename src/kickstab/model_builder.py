@@ -5,7 +5,8 @@ self-adjoint positive Stokes part (eigenvalues following the Babenko growth
 law mu_j ~ beta0 * j^(2/d)) and A1 is a nonsymmetric perturbation whose size
 is controlled through the relative bound ||A1 A0^{-1/2}||_2 = b.  A designated
 number of eigenvalues is pushed below a splitting level sigma by a randomized
-search mixing a dense random direction with a low-index block shift.
+search mixing a dense random direction with a low-index block shift; the blend
+weight is found by bisection over a fixed grid, one dense eigensolve per probe.
 """
 
 from __future__ import annotations
@@ -175,14 +176,27 @@ def build_oseen(spec, b, n_unstable, sigma, obs_idx, seed,
                 max_attempts=8, n_weights=41, gap_tol=1e-6) -> OseenModel:
     """Build A = A0 + A1 with exactly ``n_unstable`` eigenvalues below sigma.
 
-    A1 = c * M * A0^{1/2} where M blends a unit-norm random dense direction
-    with a negative projector onto the first ``n_unstable`` coordinates, and
-    c rescales so that ||A1 A0^{-1/2}||_2 = b exactly.  The blend weight is
-    swept over a grid until the dense eigensolve reports the requested
-    unstable count with a clean gap at sigma.
+    A1 = c * M * A0^{1/2} where M = (1 - w) * B + w * shift blends a unit-norm
+    random dense direction B with a negative projector onto the first
+    ``n_unstable`` coordinates, and c rescales so that ||A1 A0^{-1/2}||_2 = b
+    exactly.  A weight w accepts when the dense eigensolve of A reports
+    ``n_unstable`` eigenvalues with real part below sigma and every real part
+    at least ``gap_tol`` away from sigma.
 
-    Raises ConstructionFailed (reporting the attempt count) when no blend
-    realizes the count within the budget.
+    Each attempt draws a fresh B and searches the grid
+    ``linspace(0, 1, n_weights)`` by bisection: it probes the last weight
+    first and, if that accepts, halves the interval between the highest
+    rejecting index (initially the virtual index -1) and the lowest accepting
+    one, so it runs at most ceil(log2(n_weights)) + 1 eigensolves.  The model
+    is assembled from the accepting probe with the smallest index, with that
+    probe's own eigenvalues.  When acceptance is monotone in w this is the
+    first accepting grid weight; otherwise it is an accepting weight whose
+    grid predecessor rejects.  When the last weight rejects, the attempt ends
+    at once (the grid is not scanned below it) and the next attempt draws a
+    new B.
+
+    Raises ConstructionFailed when no attempt within ``max_attempts``
+    accepts; its ``attempts`` counts the eigensolves run.
     """
     n = spec.n
     if not 0 <= n_unstable < n:
@@ -218,25 +232,42 @@ def build_oseen(spec, b, n_unstable, sigma, obs_idx, seed,
     if n_unstable > 0:
         shift[:n_unstable, :n_unstable] = -np.eye(n_unstable)
 
-    attempts = 0
+    eigensolves = 0
+
+    def probe(B_rand, w):
+        """(A1, ev) when blend weight w accepts, else None."""
+        nonlocal eigensolves
+        M = (1.0 - w) * B_rand + w * shift
+        nrm = _spectral_norm(M)
+        if nrm == 0.0:
+            return None
+        A1 = (b / nrm) * M @ A0h
+        eigensolves += 1
+        ev = np.linalg.eigvals(A0 + A1)
+        if int(np.sum(ev.real < sigma)) == n_unstable and np.min(np.abs(ev.real - sigma)) > gap_tol:
+            return A1, ev
+        return None
+
     weights = [0.0] if n_unstable == 0 else np.linspace(0.0, 1.0, n_weights)
     for _ in range(max_attempts):
         B_rand = rng.standard_normal((n, n))
         B_rand /= _spectral_norm(B_rand)
-        for w in weights:
-            attempts += 1
-            M = (1.0 - w) * B_rand + w * shift
-            nrm = _spectral_norm(M)
-            if nrm == 0.0:
-                continue
-            A1 = (b / nrm) * M @ A0h
-            A = A0 + A1
-            ev = np.linalg.eigvals(A)
-            if int(np.sum(ev.real < sigma)) == n_unstable and np.min(np.abs(ev.real - sigma)) > gap_tol:
-                return finish(A1, ev)
+        # invariant: index lo rejects (lo = -1 is virtual), hi accepts with probe `best`
+        lo, hi = -1, len(weights) - 1
+        best = probe(B_rand, weights[hi])
+        if best is None:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            found = probe(B_rand, weights[mid])
+            if found is None:
+                lo = mid
+            else:
+                hi, best = mid, found
+        return finish(*best)
     raise ConstructionFailed(
         f"could not realize {n_unstable} unstable eigenvalues at sigma={sigma} "
-        f"with b={b}", attempts=attempts)
+        f"with b={b}", attempts=eigensolves)
 
 
 def verify_relative_bound(model) -> float:

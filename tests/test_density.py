@@ -275,7 +275,7 @@ def test_density_matches_mc_oracle(dec12, law12):
             pts.append(x)
     for x in pts:
         quad_val = density_P(dec12, law12, x)
-        est, se = mc_density_oracle(dec12, law12, x, 1_000_000, seed=8)
+        est, se = mc_density_oracle(dec12, law12, [x], 1_000_000, seed=8)[0]
         assert abs(quad_val - est) / est < 0.05
 
 
@@ -289,8 +289,8 @@ def test_density_quadrature_unsupported_without_fallback():
 
 def test_mc_oracle_error_scaling(dec12, law12):
     x = np.array([0.1, 0.1])
-    _, se1 = mc_density_oracle(dec12, law12, x, 40_000, seed=9)
-    _, se2 = mc_density_oracle(dec12, law12, x, 80_000, seed=9)
+    _, se1 = mc_density_oracle(dec12, law12, [x], 40_000, seed=9)[0]
+    _, se2 = mc_density_oracle(dec12, law12, [x], 80_000, seed=9)[0]
     assert abs(se2 / se1 - 1 / np.sqrt(2)) < 0.2 / np.sqrt(2)
 
 
@@ -304,7 +304,7 @@ def test_mc_oracle_zero_alpha_matches_marginal_quadrature():
     u = half * t
     g = np.exp(-0.5 * (u ** 2 / 0.5 + x ** 2 / 0.3)) / (2 * np.pi * np.sqrt(0.5 * 0.3))
     ref = law.c_hat * float(np.sum(w * g)) * half
-    est, se = mc_density_oracle(dec, law, np.array([x]), 400_000, seed=10)
+    est, se = mc_density_oracle(dec, law, np.array([[x]]), 400_000, seed=10)[0]
     assert abs(est - ref) <= max(2 * se, 0.01 * ref)
     # quadrature path agrees too
     assert abs(density_P(dec, law, [x]) - ref) < 1e-6 * ref
@@ -319,7 +319,7 @@ def test_mc_oracle_m0_standard_error():
     x = np.array([0.3, -0.2])
     g = np.exp(-0.5 * x @ np.linalg.solve(K, x)) / (2 * np.pi * np.sqrt(np.linalg.det(K)))
     N = 50_000
-    est, se = mc_density_oracle(dec, law, x, N, seed=16)
+    est, se = mc_density_oracle(dec, law, [x], N, seed=16)[0]
     p_hat = g / est
     p = 1.0 / law.c_hat
     assert abs(p_hat - p) < 5 * np.sqrt(p * (1 - p) / N)
@@ -327,8 +327,19 @@ def test_mc_oracle_m0_standard_error():
 
 
 def test_mc_oracle_outside_support(dec12, law12):
-    est, _ = mc_density_oracle(dec12, law12, np.array([3.0, 3.0]), 20_000, seed=11)
+    est, _ = mc_density_oracle(dec12, law12, np.array([[3.0, 3.0]]), 20_000, seed=11)[0]
     assert est == 0.0
+
+
+def test_mc_oracle_batch_matches_single_points(dec12, law12):
+    # one draw serves every point: each row equals that point's own call bitwise
+    pts = np.array([[0.1, 0.1], [-0.3, 0.2], [0.0, 0.0], [3.0, 3.0]])
+    batch = mc_density_oracle(dec12, law12, pts, 20_000, seed=12)
+    assert len(batch) == len(pts)
+    for x, row in zip(pts, batch):
+        assert mc_density_oracle(dec12, law12, x[None, :], 20_000, seed=12) == [row]
+    with pytest.raises(ValueError):
+        mc_density_oracle(dec12, law12, pts[0], 20_000)
 
 
 def test_mc_oracle_sample_floor(dec12, law12):

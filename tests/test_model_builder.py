@@ -64,7 +64,8 @@ def test_build_reports_attempts_on_failure():
     # smallest eigenvalue 2.0 cannot be pushed below 0.1 with b = 0.1
     with pytest.raises(ConstructionFailed) as exc:
         build_oseen(spec, 0.1, 1, 0.1, obs_idx=(3, 4), seed=0, max_attempts=2)
-    assert exc.value.attempts > 0
+    # each attempt stops after its last weight rejects: one eigensolve apiece
+    assert exc.value.attempts == 2
 
 
 def test_verify_relative_bound_identity_case():
@@ -132,3 +133,84 @@ def test_json_roundtrip(ref_model):
     assert np.array_equal(back.A, ref_model.A)
     assert back.obs_idx == ref_model.obs_idx
     assert back.to_json() == text
+
+
+# -- bisection over the blend-weight grid ------------------------------------------
+
+def _attempt_grids(spec, b, n_unstable, sigma, seed, gap_tol, max_attempts=8, n_weights=41):
+    """Reference: per attempt, (A1, ev, accepts) at every grid weight, built as build_oseen builds them."""
+    n = spec.n
+    A0h = np.diag(np.sqrt(spec.mu))
+    shift = np.zeros((n, n))
+    shift[:n_unstable, :n_unstable] = -np.eye(n_unstable)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        B = rng.standard_normal((n, n))
+        B /= np.linalg.svd(B, compute_uv=False)[0]
+        grid = []
+        for w in np.linspace(0.0, 1.0, n_weights):
+            M = (1.0 - w) * B + w * shift
+            A1 = (b / np.linalg.svd(M, compute_uv=False)[0]) * M @ A0h
+            ev = np.linalg.eigvals(np.diag(spec.mu) + A1)
+            ok = int(np.sum(ev.real < sigma)) == n_unstable and np.min(np.abs(ev.real - sigma)) > gap_tol
+            grid.append((A1, ev, ok))
+        yield grid
+
+
+def _build_counting_eigvals(monkeypatch, spec, b, n_unstable, sigma, seed, gap_tol):
+    """build_oseen's model (None on ConstructionFailed) and the eigensolves it ran."""
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real(a))
+    try:
+        model = build_oseen(spec, b, n_unstable, sigma, (spec.n - 1,), seed, gap_tol=gap_tol)
+    except ConstructionFailed:
+        model = None
+    finally:
+        monkeypatch.undo()
+    return model, len(calls)
+
+
+_MAX_SOLVES = int(np.ceil(np.log2(41))) + 1  # 7 eigensolves per accepting attempt
+
+
+@pytest.mark.parametrize("n,d,spectrum_seed,b,n_unstable,seed", [
+    (20, 2, 34, 0.5, 1, 0),       # the default model
+    (20, 2, 18, 2.0, 2, 0),       # the density-m2 model
+    (150, 2, 34, 0.5, 1, 0),
+    *[(24, 2, 30 + s, b, k, s) for s in (0, 1, 2) for b in (1.5, 3.0) for k in (1, 2, 3)],
+])
+def test_bisection_matches_linear_scan(monkeypatch, n, d, spectrum_seed, b, n_unstable, seed):
+    spec = synth_stokes_spectrum(n, d, 1.05, 1.1, spectrum_seed)
+    model, solves = _build_counting_eigvals(monkeypatch, spec, b, n_unstable, 0.0, seed, 0.04)
+    ref = None
+    for attempt, grid in enumerate(_attempt_grids(spec, b, n_unstable, 0.0, seed, 0.04)):
+        k = next((k for k, (_, _, ok) in enumerate(grid) if ok), None)
+        if k is not None:
+            ref = attempt, grid[k]
+            break
+    if ref is None:
+        assert model is None
+        return
+    attempt, (A1, ev, _) = ref
+    # the same grid weight: A and its cached spectrum are identical bit for bit
+    assert np.array_equal(model.A, np.diag(spec.mu) + A1)
+    assert model.spectrum_cache == ks.model_builder._spectrum_cache(ev)
+    # every earlier attempt rejected its last weight with one eigensolve
+    assert solves <= attempt + _MAX_SOLVES
+
+
+def test_bisection_non_monotone_acceptance(monkeypatch):
+    spec = synth_stokes_spectrum(40, 3, 1.05, 1.1, 34)
+    model, solves = _build_counting_eigvals(monkeypatch, spec, 6.0, 2, 0.0, 0, 0.04)
+    for attempt, grid in enumerate(_attempt_grids(spec, 6.0, 2, 0.0, 0, 0.04)):
+        hit = [k for k, (A1, _, _) in enumerate(grid) if np.array_equal(np.diag(spec.mu) + A1, model.A)]
+        if hit:
+            break
+    assert hit
+    ok = [acc for _, _, acc in grid]
+    k = hit[0]
+    # acceptance on this grid is not monotone: some weight accepts before a rejecting one
+    assert any(ok[i] and not ok[j] for i in range(len(ok)) for j in range(i + 1, len(ok)))
+    assert ok[k] and k > 0 and not ok[k - 1]
+    assert solves <= attempt + _MAX_SOLVES
