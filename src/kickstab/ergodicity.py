@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import stdtrit
 
 from .chain import burn_in_floor, controlled_states, run_ensemble
 from .kicks import sample_kicks
@@ -167,7 +167,7 @@ def _batch_ci(series, n_batches=30, level=0.95):
     batches = series[:usable].reshape(n_batches, -1, series.shape[1]).mean(axis=1)
     mean = batches.mean(axis=0)
     se = batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
-    tq = sstats.t.ppf(0.5 + level / 2, n_batches - 1)
+    tq = stdtrit(n_batches - 1, 0.5 + level / 2)
     return mean, mean - tq * se, mean + tq * se
 
 

@@ -1,13 +1,18 @@
 """Truncated-Gaussian kick law: sampling, support ellipsoid, projected density.
 
 The kick distribution is N(0, K) conditioned on the ball ||phi|| <= eps_hat,
-sampled by rejection in groups: a kick draws a group of 4 proposals and
-keeps the first one inside the ball, and a group with none inside is
-followed by one twice its size (at most 65536) until one is.  The rest of
-the accepting group is discarded.  ``sample_kicks`` draws many kicks in one
-call and returns exactly the kicks, and leaves the generator in exactly the
-state, of as many successive ``sample_kick`` calls; so the first k kicks of
-a stream do not depend on how many are drawn with them.
+sampled by plain rejection in K's eigen coordinates, K = V diag(lambda) V^T
+(Devroye, Non-Uniform Random Variate Generation, 1986, II.3).  Proposal i is
+row i of the stream's ``standard_normal((., n))`` draws, g, scaled to
+t = g * sqrt(lambda); it is accepted iff sum t^2 <= eps_hat^2, which is
+||V t||^2.  The kicks are the accepted rows in stream order, rotated by V.
+For diagonal K, V is the identity in K's own index order (no eigensolve, no
+permutation), and t equals g chol(K)^T bit for bit.  Which rows are
+accepted does not depend on how the rows are grouped into draws, so a
+call's kicks are a prefix of a longer call's kicks on a fresh, identically
+seeded stream: bit for bit for diagonal K, and to roundoff for dense K,
+whose rotation is one matrix product over a call's kicks.  The generator's
+state after a call is not part of this contract.
 
 The normalization constant 1/c_hat = G(B_eps) is the distribution function
 of the Gaussian quadratic form sum lambda_i z_i^2 at eps_hat^2, computed
@@ -40,9 +45,7 @@ __all__ = [
 
 REJECTION_WINDOW = 1_000_000
 REJECTION_RATE_FLOOR = 1e-4
-_GROUP_ROWS = 4            # proposals in a kick's first group
-_MAX_GROUP_ROWS = 65536    # cap of the doubling group size
-_REFILL_ROWS = 1 << 16     # proposals drawn per refill; bounds the buffer
+_REFILL_ROWS = 1 << 16     # cap of the proposals drawn in one round
 _RUBEN_TOL = 1e-15         # bound on the omitted tail of Ruben's series
 _RUBEN_MAX_TERMS = 100_000
 
@@ -62,7 +65,6 @@ class KickLaw:
 
     K: np.ndarray
     eps_hat: float
-    chol_K: np.ndarray
     rng_spec: tuple        # (seed, stream id)
     norm_samples: int = 200_000
 
@@ -80,6 +82,19 @@ class KickLaw:
         if self.eps_hat > 0 and self.norm_samples:
             return estimate_ball_mass_mc(self, self.norm_samples, self.stream("norm-const"))
         return (np.nan, np.nan)
+
+    @cached_property
+    def eigen(self) -> tuple:
+        """(sqrt(lambda), V) with K = V diag(lambda) V^T, computed on first read.
+
+        V is None for diagonal K: its own coordinates, in its own index
+        order, are then eigen coordinates.
+        """
+        K = self.K
+        if not np.any(K - np.diag(np.diagonal(K))):
+            return np.sqrt(np.diagonal(K)), None
+        lam, V = np.linalg.eigh(K)
+        return np.sqrt(lam), V
 
     def stream(self, *key) -> np.random.Generator:
         """Independent generator derived from (seed, stream id, *key)."""
@@ -106,19 +121,22 @@ def make_kick_law(K, eps_hat, seed, stream_id=0, norm_samples=200_000) -> KickLa
     evals = np.linalg.eigvalsh(K)
     if evals.min() <= 0:
         raise ValueError("K must be positive definite")
-    chol = np.linalg.cholesky(K)
-    return KickLaw(K=K, eps_hat=float(eps_hat), chol_K=chol,
-                   rng_spec=(int(seed), int(stream_id)), norm_samples=int(norm_samples))
+    return KickLaw(K=K, eps_hat=float(eps_hat), rng_spec=(int(seed), int(stream_id)),
+                   norm_samples=int(norm_samples))
 
 
 def estimate_ball_mass_mc(law, n_samples, rng):
-    """Monte Carlo estimate (with standard error) of P(||N(0,K)|| <= eps_hat)."""
+    """Monte Carlo estimate (with standard error) of P(||N(0,K)|| <= eps_hat).
+
+    Samples are drawn in K's eigen coordinates, where the norm is the same.
+    """
+    root = law.eigen[0]
     batch = 100_000
     hits = 0
     done = 0
     while done < n_samples:
         b = min(batch, n_samples - done)
-        z = rng.standard_normal((b, law.n)) @ law.chol_K.T
+        z = rng.standard_normal((b, law.n)) * root
         hits += int(np.sum(np.einsum("ij,ij->i", z, z) <= law.eps_hat ** 2))
         done += b
     p = hits / n_samples
@@ -171,80 +189,49 @@ def ball_mass(cov_eigs, radius) -> float:
 def sample_kicks(law, rng, count) -> np.ndarray:
     """``count`` samples of N(0, K) conditioned on the ball, shape (count, n).
 
-    Bit for bit the rows, and the generator state afterwards, of ``count``
-    successive ``sample_kick(law, rng)`` calls (the group rule of the module
-    docstring), so a call's kicks are a prefix of any longer call's on the
-    same stream.  Every kick consumes at least 4 proposals, so drawing the
-    rest of the open group plus 4 rows per later kick never draws ahead;
-    runs of accepting 4-row groups are resolved at once, and a group that
-    misses is stepped through its doubled successors on its own.  Each
-    group is transformed by its own product with chol(K)^T, as a single
-    draw would be.  eps_hat = 0 gives zero kicks and draws nothing.
-    Raises RejectionCap when, after at least REJECTION_WINDOW proposals of
-    this call, its acceptance rate is below REJECTION_RATE_FLOOR.
+    Plain rejection in K's eigen coordinates (see the module docstring):
+    proposal i is row i of the stream's standard normals scaled by
+    sqrt(lambda), and the kicks are the accepted rows in stream order,
+    rotated by V in one product at the end (not at all for diagonal K).  The
+    first round draws one row per kick asked for; each later round is sized
+    from the acceptance this call has seen, doubled while it has seen none,
+    and capped at _REFILL_ROWS rows.  Rows accepted beyond ``count`` are
+    discarded, so the generator's state afterwards is not specified.
+    eps_hat = 0 gives zero kicks and draws nothing.  Raises RejectionCap
+    when, after at least REJECTION_WINDOW proposals of this call, its
+    acceptance rate is below REJECTION_RATE_FLOOR.
     """
     n = law.n
     out = np.zeros((count, n))
     if count == 0 or law.eps_hat == 0.0:
         return out
     eps2 = law.eps_hat ** 2
-    LT = law.chol_K.T
-
-    def inside(z):
-        return np.einsum("ij,ij->i", z, z) <= eps2
-
-    x = np.empty((0, n))   # drawn proposals; x[:p] are consumed
-    p = 0
-    spent = 0              # proposals consumed before x[0]
-    z = None               # 4-row group products of x[zs:], with their verdicts
-    batch = _GROUP_ROWS    # size of the open group
-    done = 0
-    while done < count:
-        if len(x) < p + batch:
-            stop = p + batch + _GROUP_ROWS * (count - done - 1)
-            rows = max(p + batch, min(stop, p + _REFILL_ROWS)) - len(x)
-            x = np.concatenate([x[p:], rng.standard_normal((rows, n))])
-            spent += p
-            p, z = 0, None
-        if batch == _GROUP_ROWS:
-            if z is None:
-                zs = p
-                z = (x[zs:].reshape(-1, _GROUP_ROWS, n) @ LT).reshape(-1, n)
-                ok = inside(z).reshape(-1, _GROUP_ROWS)
-                first = np.argmax(ok, axis=1)
-                misses = np.flatnonzero(~ok.any(axis=1))
-            b0 = (p - zs) // _GROUP_ROWS
-            b1 = min(len(ok), b0 + count - done)
-            i = np.searchsorted(misses, b0)
-            miss = i < len(misses) and misses[i] < b1
-            stop_b = int(misses[i]) if miss else b1
-            blocks = np.arange(b0, stop_b)
-            out[done:done + len(blocks)] = z[_GROUP_ROWS * blocks + first[blocks]]
-            done += len(blocks)
-            p += _GROUP_ROWS * len(blocks)
-            if miss:
-                p += _GROUP_ROWS
-                batch = 2 * _GROUP_ROWS
-        else:
-            zg = x[p:p + batch] @ LT
-            ok_g = inside(zg)
-            p += batch
-            if ok_g.any():
-                out[done] = zg[np.argmax(ok_g)]
-                done += 1
-                batch = _GROUP_ROWS
-            else:
-                batch = min(batch * 2, _MAX_GROUP_ROWS)
-            draws = spent + p
-            if draws >= REJECTION_WINDOW and done < REJECTION_RATE_FLOOR * draws:
-                raise RejectionCap(
-                    f"acceptance rate {done / draws:.2e} below {REJECTION_RATE_FLOOR} over "
-                    f"{draws} draws; eps_hat too small relative to K")
-    return out
+    root, V = law.eigen
+    rows = min(count, _REFILL_ROWS)
+    drawn = done = 0
+    while True:
+        t = rng.standard_normal((rows, n))
+        t *= root
+        hit = t[np.einsum("ij,ij->i", t, t) <= eps2][:count - done]
+        out[done:done + len(hit)] = hit
+        done += len(hit)
+        drawn += rows
+        if done == count:
+            break
+        if drawn >= REJECTION_WINDOW and done < REJECTION_RATE_FLOOR * drawn:
+            raise RejectionCap(
+                f"acceptance rate {done / drawn:.2e} below {REJECTION_RATE_FLOOR} over "
+                f"{drawn} draws; eps_hat too small relative to K")
+        rows = min(2 * rows if done == 0 else (count - done) * drawn // done + 1, _REFILL_ROWS)
+    return out if V is None else out @ V.T
 
 
 def sample_kick(law, rng) -> np.ndarray:
-    """One sample of N(0, K) conditioned on the ball; see ``sample_kicks``."""
+    """One sample of N(0, K) conditioned on the ball; see ``sample_kicks``.
+
+    Kept for callers that step one kick at a time (single-step tests, and
+    the benchmark's tracer, which rebinds ``kicks.sample_kick`` by name).
+    """
     return sample_kicks(law, rng, 1)[0]
 
 

@@ -1,5 +1,9 @@
 """Ergodicity hypotheses and conclusions on the assembled reference system."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
@@ -260,3 +264,24 @@ def test_stationarity_energy_distance(ref_S, ref_pi, ref_kick_matrix, ref_dichot
     stat, p = energy_distance_test(states[:200, 40, :], states[:200, 50, :],
                                    n_permutations=200, seed=3)
     assert p > 0.01
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.8 s and 40 MB at import; no stage needs it
+    src = os.path.dirname(os.path.dirname(ks.__file__))
+    code = "import sys, kickstab.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_batch_ci_quantile_is_student_t():
+    from kickstab.ergodicity import _batch_ci
+    series = np.random.default_rng(0).standard_normal((300, 2))
+    mean, lo, hi = _batch_ci(series, n_batches=30)
+    batches = series.reshape(30, 10, 2).mean(axis=1)
+    se = batches.std(axis=0, ddof=1) / np.sqrt(30)
+    tq = t_dist.ppf(0.975, 29)
+    assert np.array_equal(lo, mean - tq * se)
+    assert np.array_equal(hi, mean + tq * se)

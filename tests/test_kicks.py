@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import kickstab.kicks as kk
+from kickstab.config import config_from_dict
 from kickstab.errors import DegenerateCovariance, RejectionCap
 from kickstab.kicks import (
     ball_mass,
@@ -55,7 +56,7 @@ def test_near_untruncated_covariance_matches():
     law = make_kick_law(K, eps, seed=2, norm_samples=0)
     rng = law.stream(1)
     N = 200_000
-    z = rng.standard_normal((N, n)) @ law.chol_K.T
+    z = rng.standard_normal((N, n)) @ np.linalg.cholesky(law.K).T
     assert np.all(np.einsum("ij,ij->i", z, z) <= eps ** 2)  # nothing rejected
     emp = z.T @ z / N
     # MC error of each entry ~ sqrt((K_ii K_jj + K_ij^2)/N)
@@ -69,42 +70,54 @@ def test_rejection_cap_triggers():
         sample_kick(law, law.stream(0))
 
 
-def _reference_kick(law, rng):
-    # the group rule drawn one group at a time: 4 rows, doubled on a miss
-    batch = 4
-    while True:
-        z = rng.standard_normal((batch, law.n)) @ law.chol_K.T
-        ok = np.einsum("ij,ij->i", z, z) <= law.eps_hat ** 2
-        if ok.any():
-            return z[np.argmax(ok)]
-        batch = min(batch * 2, 65536)
-
-
-def _bulk_equals_repeated(law, count):
-    rng_bulk, rng_one, rng_ref = law.stream(4), law.stream(4), law.stream(4)
-    bulk = sample_kicks(law, rng_bulk, count)
-    one = np.array([sample_kick(law, rng_one) for _ in range(count)])
-    ref = np.array([_reference_kick(law, rng_ref) for _ in range(count)])
-    assert np.array_equal(bulk, one)
-    assert np.array_equal(bulk, ref)
-    assert rng_bulk.bit_generator.state == rng_one.bit_generator.state
-    assert rng_bulk.bit_generator.state == rng_ref.bit_generator.state
-
-
-def test_sample_kicks_equals_repeated_sample_kick(ref_law):
-    # acceptance ~ 0.66: nearly every kick comes from its first 4-row group
-    _bulk_equals_repeated(ref_law, 3000)
-    # at n = 50 one large product with chol(K)^T can round differently from
-    # per-group products; the kicks must still be those of single draws
+def _dense_law():
     A = np.random.default_rng(0).standard_normal((50, 50))
-    wide = make_kick_law(A @ A.T / 50 + 0.5 * np.eye(50), 8.7, seed=2, norm_samples=0)
-    _bulk_equals_repeated(wide, 500)
+    return make_kick_law(A @ A.T / 50 + 0.5 * np.eye(50), 8.7, seed=2, norm_samples=0)
 
 
-def test_sample_kicks_equals_repeated_with_doubled_groups():
-    # acceptance P(chi2_5 <= 1) ~ 0.037: most kicks need doubled groups
-    law = make_kick_law(np.eye(5), 1.0, seed=8, norm_samples=0)
-    _bulk_equals_repeated(law, 400)
+def _assert_truncated_covariance(law, N, alpha=1e-3):
+    # In K's eigen coordinates y = V^T phi the truncated covariance K_eps is
+    # diagonal, with E[y_i^2; ||y|| <= eps] = lambda_i * ball_mass(lambda with
+    # lambda_i listed three times), since g^2 dP(g) is the chi-square-3 law.
+    lam, V = np.linalg.eigh(law.K)
+    mass = ball_mass(lam, law.eps_hat)
+    exact = np.diag([l * ball_mass(np.append(lam, [l, l]), law.eps_hat) / mass for l in lam])
+    y = sample_kicks(law, law.stream(5), N) @ V
+    emp = y.T @ y / N
+    sq = y * y
+    se = np.sqrt(np.maximum(sq.T @ sq / N - emp ** 2, 0.0) / N)
+    iu = np.triu_indices(law.n)
+    z = (emp - exact)[iu] / se[iu]
+    # Bonferroni over the n(n+1)/2 distinct entries, two-sided, family level alpha
+    bound = stats.norm.isf(alpha / (2 * len(z)))
+    assert np.max(np.abs(z)) < bound, (np.max(np.abs(z)), bound)
+
+
+def test_sample_kicks_covariance_matches_exact_truncation(ref_law):
+    # acceptance ~ 0.66 (diagonal K), ~ 0.037 (eye(5), eps = 1) and the dense
+    # n = 50 law (rotated by V)
+    _assert_truncated_covariance(ref_law, 200_000)
+    _assert_truncated_covariance(make_kick_law(np.eye(5), 1.0, seed=8, norm_samples=0), 100_000)
+    _assert_truncated_covariance(_dense_law(), 100_000)
+
+
+def test_sample_kicks_prefix_of_longer_call(ref_law):
+    # a call's kicks are the first kicks of a longer call on a fresh stream
+    for law in (ref_law, make_kick_law(np.eye(5), 1.0, seed=8, norm_samples=0)):
+        short = sample_kicks(law, law.stream(4), 40)
+        assert np.array_equal(short, sample_kicks(law, law.stream(4), 400)[:40])
+    dense = _dense_law()
+    short = sample_kicks(dense, dense.stream(4), 40)
+    assert_allclose(short, sample_kicks(dense, dense.stream(4), 400)[:40], rtol=1e-12, atol=1e-14)
+
+
+def test_sample_kicks_default_law_n400():
+    cfg = config_from_dict({"model": {"n": 400}, "kick": {"eps_hat": 0.01}})
+    law = make_kick_law(cfg.kick_matrix(), cfg.kick.eps_hat, cfg.kick.seed, norm_samples=0)
+    kicks = sample_kicks(law, law.stream(0), 2000)
+    assert kicks.shape == (2000, 400)
+    assert np.all(np.einsum("ij,ij->i", kicks, kicks) <= law.eps_hat ** 2)
+    assert np.all(np.any(kicks != 0.0, axis=1))
 
 
 def test_sample_kicks_empty_and_degenerate():
@@ -128,8 +141,9 @@ def test_kick_law_is_frozen():
 
 def test_sign_symmetry():
     law = make_kick_law(diag_correlation(4, scale=1e-2), 0.15, seed=4, norm_samples=0)
-    rng = law.stream(2)
-    s = np.array([sample_kick(law, rng) for _ in range(50_000)])
+    # one call: its kicks are fixed by the stream, whereas successive single
+    # calls on one generator also depend on how many rows each call draws
+    s = sample_kicks(law, law.stream(2), 50_000)
     se = s.std(axis=0, ddof=1) / np.sqrt(len(s))
     assert np.all(np.abs(s.mean(axis=0)) <= 3.2 * se)
 
@@ -274,7 +288,7 @@ def test_qnu_truncated_mass_matches_c_hat():
     cov = Q.T @ law.K @ Q
     rng = law.stream(12)
     N = 150_000
-    z = rng.standard_normal((N, 4)) @ law.chol_K.T @ Q
+    z = rng.standard_normal((N, 4)) @ np.linalg.cholesky(law.K).T @ Q
     p_hat = float(np.mean(np.einsum("ij,ij->i", z, z) <= law.eps_hat ** 2))
     se = np.sqrt(p_hat * (1 - p_hat) / N)
     c_hat = 1 / p_hat
