@@ -4,9 +4,10 @@ Every trajectory is stepped by one kernel, ``propagate``: a chain's kicks
 are drawn in one ``sample_kicks`` call on its own stream, pushed through
 Pi once, and a block of chains is stepped together.  A call's kicks are a
 prefix of a longer call's on the same stream (``kicks.sample_kicks``), so a
-chain's first k kicks are those of a k-step run on the same stream.  Every controlled chain steps in X_sigma coordinates
-c = U^T w, U the stable basis (``controlled_states``), so roundoff has no
-component along the unstable mode to amplify, however long the run.
+chain's first k kicks are those of a k-step run on the same stream.  Every
+controlled chain steps in X_sigma coordinates c = U^T w, U the stable basis
+(``controlled_states``), so roundoff has no component along the unstable
+mode to amplify, however long the run.
 
 Also provides the uncontrolled blow-up demonstration (no projection, full
 space) and the per-trajectory envelope certificate

@@ -7,12 +7,11 @@ row i of the stream's ``standard_normal((., n))`` draws, g, scaled to
 t = g * sqrt(lambda); it is accepted iff sum t^2 <= eps_hat^2, which is
 ||V t||^2.  The kicks are the accepted rows in stream order, rotated by V.
 For diagonal K, V is the identity in K's own index order (no eigensolve, no
-permutation), and t equals g chol(K)^T bit for bit.  Which rows are
-accepted does not depend on how the rows are grouped into draws, so a
-call's kicks are a prefix of a longer call's kicks on a fresh, identically
-seeded stream: bit for bit for diagonal K, and to roundoff for dense K,
-whose rotation is one matrix product over a call's kicks.  The generator's
-state after a call is not part of this contract.
+permutation).  Which rows are accepted does not depend on how the rows are
+grouped into draws, so a call's kicks are a prefix of a longer call's kicks
+on a fresh, identically seeded stream: bit for bit for diagonal K, and to
+roundoff for dense K, whose rotation is one matrix product over a call's
+kicks.  The generator's state after a call is not part of this contract.
 
 The normalization constant 1/c_hat = G(B_eps) is the distribution function
 of the Gaussian quadratic form sum lambda_i z_i^2 at eps_hat^2, computed
@@ -189,17 +188,13 @@ def ball_mass(cov_eigs, radius) -> float:
 def sample_kicks(law, rng, count) -> np.ndarray:
     """``count`` samples of N(0, K) conditioned on the ball, shape (count, n).
 
-    Plain rejection in K's eigen coordinates (see the module docstring):
-    proposal i is row i of the stream's standard normals scaled by
-    sqrt(lambda), and the kicks are the accepted rows in stream order,
-    rotated by V in one product at the end (not at all for diagonal K).  The
-    first round draws one row per kick asked for; each later round is sized
-    from the acceptance this call has seen, doubled while it has seen none,
-    and capped at _REFILL_ROWS rows.  Rows accepted beyond ``count`` are
-    discarded, so the generator's state afterwards is not specified.
-    eps_hat = 0 gives zero kicks and draws nothing.  Raises RejectionCap
-    when, after at least REJECTION_WINDOW proposals of this call, its
-    acceptance rate is below REJECTION_RATE_FLOOR.
+    Plain rejection in K's eigen coordinates, as in the module docstring.
+    The first round draws one row per kick asked for; each later round is
+    sized from the acceptance this call has seen, doubled while it has seen
+    none, and capped at _REFILL_ROWS rows.  Accepted rows beyond ``count``
+    are discarded.  eps_hat = 0 gives zero kicks and draws nothing.  Raises
+    RejectionCap when, after at least REJECTION_WINDOW proposals of this
+    call, its acceptance rate is below REJECTION_RATE_FLOOR.
     """
     n = law.n
     out = np.zeros((count, n))

@@ -78,7 +78,7 @@ def _dense_law():
 def _assert_truncated_covariance(law, N, alpha=1e-3):
     # In K's eigen coordinates y = V^T phi the truncated covariance K_eps is
     # diagonal, with E[y_i^2; ||y|| <= eps] = lambda_i * ball_mass(lambda with
-    # lambda_i listed three times), since g^2 dP(g) is the chi-square-3 law.
+    # lambda_i listed three times), since E[g^2 f(g^2)] = E[f(chi2_3)] for g ~ N(0, 1).
     lam, V = np.linalg.eigh(law.K)
     mass = ball_mass(lam, law.eps_hat)
     exact = np.diag([l * ball_mass(np.append(lam, [l, l]), law.eps_hat) / mass for l in lam])
