@@ -4,10 +4,21 @@ Every trajectory is stepped by one kernel, ``propagate``: a chain's kicks
 are drawn in one ``sample_kicks`` call on its own stream, pushed through
 Pi once, and a block of chains is stepped together.  A call's kicks are a
 prefix of a longer call's on the same stream (``kicks.sample_kicks``), so a
-chain's first k kicks are those of a k-step run on the same stream.  Every
-controlled chain steps in X_sigma coordinates c = U^T w, U the stable basis
+chain's first k kicks are those of a k-step run.  Every controlled chain
+steps in X_sigma coordinates c = U^T w, U the stable basis
 (``controlled_states``), so roundoff has no component along the unstable
 mode to amplify, however long the run.
+
+Ensembles are stepped in bounded blocks of whole chains, one
+``run_ensemble`` call per block of at most BLOCK_ENTRIES state entries
+(``stream_blocks``), and each block is reduced by its caller before the
+next is stepped.  Chain c always draws on child c of the ensemble's seed,
+so its kicks do not depend on the block size.  Its states can, in the last
+bits only: the step product is one BLAS product over the block's chains,
+and BLAS picks its kernels and thread split by shape, so a row can round
+differently with the number of rows (a one-chain block takes the
+matrix-vector path).  At n = 20, blocks of 8 or more chains match one block
+bit for bit.
 
 Also provides the uncontrolled blow-up demonstration (no projection, full
 space) and the per-trajectory envelope certificate
@@ -34,10 +45,13 @@ __all__ = [
     "controlled_states",
     "run_chain",
     "run_ensemble",
+    "stream_blocks",
     "envelope_check",
     "uncontrolled_demo",
     "burn_in_floor",
 ]
+
+BLOCK_ENTRIES = 1 << 20    # state entries (chains x (steps+1) x n) of one ensemble block
 
 
 @dataclass(frozen=True)
@@ -129,13 +143,40 @@ def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
     """States of n_chains independent trajectories, shape (chains, steps+1, n).
 
     Chain c draws its n_steps kicks in one ``sample_kicks`` call on a
-    private stream, spawned as child c of ``seed``.  A chain's trajectory
-    therefore does not depend on how many chains run beside it, and its
-    first k steps are those of a k-step run.
+    private stream: child c of ``seed`` (an int or a SeedSequence, spawned
+    into n_chains children), or entry c of ``seed`` when it is a list of
+    n_chains SeedSequences, such as one block of a parent's children
+    (``stream_blocks``).  A chain's kicks therefore do not depend on how
+    many chains run beside it, and its first k steps are those of a k-step
+    run.  All chains are stepped as one block; see the module docstring for
+    how the block size can reach the last bits of the states.
+    """
+    if isinstance(seed, list):
+        if len(seed) != n_chains:
+            raise ValueError(f"{len(seed)} streams for {n_chains} chains")
+        streams = seed
+    else:
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        streams = ss.spawn(n_chains)
+    return controlled_states(S_mat, pi, w0, np.stack(
+        [sample_kicks(law, np.random.default_rng(s), n_steps) for s in streams]))
+
+
+def stream_blocks(seed, n_chains, chain_entries):
+    """The chains' streams of an ensemble, in blocks for ``run_ensemble``.
+
+    Splits seed.spawn(n_chains) (seed an int or a SeedSequence) in chain
+    order into lists of at most BLOCK_ENTRIES // chain_entries streams (at
+    least one), chain_entries being one chain's state entries,
+    (steps+1) * n.  Stepping each list with one ``run_ensemble`` call gives
+    the chains of run_ensemble(..., n_chains, n_steps, seed), one bounded
+    block at a time, up to the roundoff of the step product (module
+    docstring).
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return controlled_states(S_mat, pi, w0, np.stack(
-        [sample_kicks(law, np.random.default_rng(s), n_steps) for s in ss.spawn(n_chains)]))
+    streams = ss.spawn(n_chains)
+    size = max(1, BLOCK_ENTRIES // chain_entries)
+    return [streams[lo:lo + size] for lo in range(0, n_chains, size)]
 
 
 def envelope_check(norms, w0_norm, gamma0, norm_Pi, eps_hat, tol=1e-9) -> dict:

@@ -23,7 +23,15 @@ import numpy as np
 
 from . import __version__
 from .artifacts import canonical_json, emit_series, file_checksum, hash_arrays, write_json
-from .chain import ChainConfig, burn_in_floor, envelope_check, run_chain, run_ensemble, uncontrolled_demo
+from .chain import (
+    ChainConfig,
+    burn_in_floor,
+    envelope_check,
+    run_chain,
+    run_ensemble,
+    stream_blocks,
+    uncontrolled_demo,
+)
 from .config import ExperimentConfig, load_config, save_config
 from .density import (
     QuadratureSpec,
@@ -226,9 +234,10 @@ class Pipeline:
         rows = [[k, traj.norms[k]] + list(traj.states[k]) for k in range(len(traj.norms))]
         emit_series(pt, cols, rows)
 
-        states = run_ensemble(S, pi, law, w0, cfg.run.n_chains, cfg.run.n_steps,
-                              cfg.run.seed)
-        norms = np.linalg.norm(states, axis=2)
+        n_steps = cfg.run.n_steps
+        norms = np.concatenate([
+            np.linalg.norm(run_ensemble(S, pi, law, w0, len(block), n_steps, block), axis=2)
+            for block in stream_blocks(cfg.run.seed, cfg.run.n_chains, (n_steps + 1) * model.n)])
         rep = envelope_check(norms, float(np.linalg.norm(w0)), gamma0, pi.norm_Pi, law.eps_hat)
         rep["n_chains"] = cfg.run.n_chains
         bound = gamma0 ** np.arange(norms.shape[1]) * np.linalg.norm(w0) \

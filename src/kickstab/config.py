@@ -179,6 +179,13 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("run.n_steps", "must be >= 1")
     if cfg.run.n_chains < 1:
         raise ValidationError("run.n_chains", "must be >= 1")
+    if cfg.mixing.tau <= 0:
+        raise ValidationError("mixing.tau", "must be positive")
+    if cfg.mixing.n_chains < 2:
+        raise ValidationError("mixing.n_chains", "must be >= 2")
+    if cfg.mixing.slln_steps < 30:
+        # slln_average's batch-means intervals need a step per batch
+        raise ValidationError("mixing.slln_steps", "must be >= 30, the batch-means count")
     if cfg.density.alpha_source not in ("projection", "explicit"):
         raise ValidationError("density.alpha_source", "must be 'projection' or 'explicit'")
     if cfg.density.alpha_source == "explicit" and cfg.density.alpha is None:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .chain import burn_in_floor, controlled_states, run_ensemble
+from . import chain
+from .chain import burn_in_floor, controlled_states, run_ensemble, stream_blocks
 from .kicks import sample_kicks
 from .density import (
     QuadratureSpec,
@@ -54,11 +55,22 @@ class ObservableSet:
         return self.U.shape[0] + self.centers.shape[0]
 
     def evaluate(self, states) -> np.ndarray:
-        """Evaluate all observables; output shape states.shape[:-1] + (size,)."""
+        """Evaluate all observables; output shape states.shape[:-1] + (size,).
+
+        The radial distances are taken in blocks of rows, each with at most
+        ``chain.BLOCK_ENTRIES`` entries of (rows, n_radial, n) differences.
+        Each row's distances are a reduction over that row alone, so the
+        block size does not reach the result.
+        """
         states = np.asarray(states, dtype=float)
         lin = np.clip(states @ self.U.T, -1.0, 1.0)
-        diff = states[..., None, :] - self.centers
-        rad = np.clip(self.offsets - np.linalg.norm(diff, axis=-1), -1.0, 1.0)
+        rows = states.reshape(-1, states.shape[-1])
+        rad = np.empty((len(rows), len(self.offsets)))
+        step = max(1, chain.BLOCK_ENTRIES // max(1, self.centers.size))
+        for lo in range(0, len(rows), step):
+            diff = rows[lo:lo + step, None, :] - self.centers
+            rad[lo:lo + step] = self.offsets - np.linalg.norm(diff, axis=-1)
+        rad = np.clip(rad, -1.0, 1.0).reshape(states.shape[:-1] + (-1,))
         return np.concatenate([lin, rad], axis=-1)
 
 
@@ -104,10 +116,21 @@ class MixingReport:
 
 
 def _ensemble_obs_means(S, pi, law, w0, n_chains, n_steps, seed_seq, observables):
-    """Per-step means over chains of the observables, shape (steps+1, size)."""
-    states = run_ensemble(S, pi, law, w0, n_chains, n_steps, seed_seq)
-    return np.array([observables.evaluate(states[:, k]).mean(axis=0)
-                     for k in range(n_steps + 1)])
+    """Per-step means over chains of the observables, shape (steps+1, size).
+
+    The ensemble is stepped in blocks (``chain.stream_blocks``); each block
+    is evaluated step by step and its values are added to the running sums
+    one chain after another, in chain order, before the next block is
+    stepped.
+    """
+    sums = np.zeros((n_steps + 1, observables.size))
+    for block in stream_blocks(seed_seq, n_chains, (n_steps + 1) * len(w0)):
+        states = run_ensemble(S, pi, law, w0, len(block), n_steps, block)
+        for k in range(n_steps + 1):
+            vals = observables.evaluate(states[:, k])
+            vals[0] += sums[k]
+            sums[k] = vals.sum(axis=0)
+    return sums / n_chains
 
 
 def mixing_decay(S, pi, law, w0_A, w0_B, n_chains, n_steps, observables,

@@ -44,7 +44,7 @@ __all__ = [
 
 REJECTION_WINDOW = 1_000_000
 REJECTION_RATE_FLOOR = 1e-4
-_REFILL_ROWS = 1 << 16     # cap of the proposals drawn in one round
+_ROUND_ENTRIES = 1 << 20   # cap of the proposal entries (rows x n) drawn in one round
 _RUBEN_TOL = 1e-15         # bound on the omitted tail of Ruben's series
 _RUBEN_MAX_TERMS = 100_000
 
@@ -127,10 +127,11 @@ def make_kick_law(K, eps_hat, seed, stream_id=0, norm_samples=200_000) -> KickLa
 def estimate_ball_mass_mc(law, n_samples, rng):
     """Monte Carlo estimate (with standard error) of P(||N(0,K)|| <= eps_hat).
 
-    Samples are drawn in K's eigen coordinates, where the norm is the same.
+    Samples are drawn in K's eigen coordinates, where the norm is the same,
+    in batches of at most _ROUND_ENTRIES entries (at least one sample).
     """
     root = law.eigen[0]
-    batch = 100_000
+    batch = max(1, _ROUND_ENTRIES // law.n)
     hits = 0
     done = 0
     while done < n_samples:
@@ -191,10 +192,14 @@ def sample_kicks(law, rng, count) -> np.ndarray:
     Plain rejection in K's eigen coordinates, as in the module docstring.
     The first round draws one row per kick asked for; each later round is
     sized from the acceptance this call has seen, doubled while it has seen
-    none, and capped at _REFILL_ROWS rows.  Accepted rows beyond ``count``
-    are discarded.  eps_hat = 0 gives zero kicks and draws nothing.  Raises
-    RejectionCap when, after at least REJECTION_WINDOW proposals of this
-    call, its acceptance rate is below REJECTION_RATE_FLOOR.
+    none.  Every round is capped at _ROUND_ENTRIES // n rows (at least one),
+    so a call holds its result and one round of proposals, whatever
+    ``count``.  The cap does not change the kicks: rows are the stream's in
+    order however they are split into rounds.  Accepted rows beyond
+    ``count`` are discarded.  eps_hat = 0 gives zero kicks and draws
+    nothing.  Raises RejectionCap when, after at least REJECTION_WINDOW
+    proposals of this call, its acceptance rate is below
+    REJECTION_RATE_FLOOR.
     """
     n = law.n
     out = np.zeros((count, n))
@@ -202,7 +207,8 @@ def sample_kicks(law, rng, count) -> np.ndarray:
         return out
     eps2 = law.eps_hat ** 2
     root, V = law.eigen
-    rows = min(count, _REFILL_ROWS)
+    cap = max(1, _ROUND_ENTRIES // n)
+    rows = min(count, cap)
     drawn = done = 0
     while True:
         t = rng.standard_normal((rows, n))
@@ -217,7 +223,7 @@ def sample_kicks(law, rng, count) -> np.ndarray:
             raise RejectionCap(
                 f"acceptance rate {done / drawn:.2e} below {REJECTION_RATE_FLOOR} over "
                 f"{drawn} draws; eps_hat too small relative to K")
-        rows = min(2 * rows if done == 0 else (count - done) * drawn // done + 1, _REFILL_ROWS)
+        rows = min(2 * rows if done == 0 else (count - done) * drawn // done + 1, cap)
     return out if V is None else out @ V.T
 
 

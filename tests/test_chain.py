@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kickstab as ks
+import kickstab.chain as kc
+import kickstab.kicks as kk
 from kickstab.chain import (
     ChainConfig,
     burn_in_floor,
@@ -13,6 +15,7 @@ from kickstab.chain import (
     run_chain,
     run_ensemble,
     step,
+    stream_blocks,
     uncontrolled_demo,
 )
 from kickstab.errors import NotUnstable
@@ -125,6 +128,35 @@ def test_ensemble_stream_contract(ref_S, ref_pi, ref_law, ref_kick_matrix, ref_w
     traj = run_chain(cfg, ref_S, ref_pi, ref_law)
     rng = np.random.default_rng(np.random.SeedSequence(9))
     assert np.array_equal(traj.kicks, sample_kicks(ref_law, rng, 40))
+
+
+@pytest.mark.parametrize("rows", [1, 8, 16])
+def test_stream_blocks_match_one_block(monkeypatch, ref_S, ref_pi, ref_law, ref_w0, rows):
+    # the simulate stage's reduction, per-chain norms, from blocks of `rows`
+    # chains whose kicks are drawn a few rows per round
+    n_chains, n_steps = 48, 20
+    whole = np.linalg.norm(run_ensemble(ref_S, ref_pi, ref_law, ref_w0, n_chains, n_steps, 5),
+                           axis=2)
+    monkeypatch.setattr(kc, "BLOCK_ENTRIES", rows * (n_steps + 1) * REF["n"])
+    monkeypatch.setattr(kk, "_ROUND_ENTRIES", 3 * REF["n"])
+    blocks = stream_blocks(5, n_chains, (n_steps + 1) * REF["n"])
+    assert [len(b) for b in blocks] == [rows] * (n_chains // rows)
+    norms = np.concatenate([np.linalg.norm(run_ensemble(
+        ref_S, ref_pi, ref_law, ref_w0, rows, n_steps, b), axis=2) for b in blocks])
+    if rows >= 8:
+        assert np.array_equal(norms, whole)
+    else:
+        # a one-row step product takes BLAS's matrix-vector path, which rounds differently
+        assert_allclose(norms, whole, rtol=1e-12, atol=0)
+
+
+def test_run_ensemble_takes_a_block_of_streams(ref_S, ref_pi, ref_law, ref_w0):
+    streams = np.random.SeedSequence(5).spawn(8)
+    part = run_ensemble(ref_S, ref_pi, ref_law, ref_w0, 3, 20, streams[5:])
+    whole = run_ensemble(ref_S, ref_pi, ref_law, ref_w0, 8, 20, seed=5)
+    assert_allclose(part, whole[5:], rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError):
+        run_ensemble(ref_S, ref_pi, ref_law, ref_w0, 4, 20, streams[5:])
 
 
 def test_uncontrolled_requires_instability(ref_law):

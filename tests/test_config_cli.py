@@ -62,6 +62,16 @@ def test_cross_field_validation():
         config_from_dict({"model": {}, "kick": {"eps_hat": -1.0}})
 
 
+@pytest.mark.parametrize("field, value", [("n_chains", 1), ("slln_steps", 29),
+                                          ("tau", 0.0), ("tau", -0.25)])
+def test_mixing_section_validated(field, value):
+    # n_chains = 1 leaves no pair of chains to compare, and fewer steps than
+    # the 30 batch means leave the SLLN intervals NaN
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({"kick": {"eps_hat": 0.01}, "mixing": {field: value}})
+    assert f"mixing.{field}" in str(exc.value)
+
+
 def test_parse_error_reports_location(tmp_path):
     path = os.path.join(tmp_path, "broken.json")
     with open(path, "w") as fh:

@@ -11,6 +11,8 @@ from scipy.stats import norm
 from scipy.stats import t as t_dist
 
 import kickstab as ks
+import kickstab.chain as kc
+import kickstab.kicks as kk
 from kickstab.artifacts import canonical_json
 from kickstab.chain import run_ensemble
 from kickstab.ergodicity import (
@@ -119,6 +121,32 @@ def test_mixing_same_start_is_noise(mix_S, ref_pi, ref_kick_matrix, ref_dichotom
     z = (np.abs(mA - mB) / np.maximum(se, 1e-6))[1:]
     alpha = 0.01
     assert z.max() <= norm.ppf(1 - alpha / (2 * z.size))
+
+
+@pytest.mark.parametrize("rows", [1, 8, 16])
+def test_block_size_does_not_change_mixing_or_slln(monkeypatch, mix_S, ref_S, ref_pi,
+                                                    ref_law, ref_dichotomy, observables, rows):
+    from kickstab.ergodicity import _ensemble_obs_means
+    w0 = stable_state(ref_dichotomy, 0.5, seed=3)
+    n_chains, n_steps = 48, 20
+
+    def run():
+        means = _ensemble_obs_means(mix_S, ref_pi, ref_law, w0, n_chains, n_steps,
+                                    np.random.SeedSequence(4), observables)
+        return means, slln_average(ref_S, ref_pi, ref_law, w0, 3000, observables, seed=6)
+
+    means, slln = run()
+    # blocks of `rows` chains, kick rounds of 3 rows
+    monkeypatch.setattr(kc, "BLOCK_ENTRIES", rows * (n_steps + 1) * REF["n"])
+    monkeypatch.setattr(kk, "_ROUND_ENTRIES", 3 * REF["n"])
+    assert kc.BLOCK_ENTRIES // observables.centers.size < 3001   # several radial blocks
+    means_b, slln_b = run()
+    assert canonical_json(slln_b) == canonical_json(slln)
+    if rows >= 8:
+        assert np.array_equal(means_b, means)
+    else:
+        # one-row step products take BLAS's matrix-vector path
+        np.testing.assert_allclose(means_b, means, rtol=1e-12, atol=0)
 
 
 def test_mixing_deterministic_bound_without_kicks(mix_S, ref_pi, ref_kick_matrix,

@@ -111,6 +111,18 @@ def test_sample_kicks_prefix_of_longer_call(ref_law):
     assert_allclose(short, sample_kicks(dense, dense.stream(4), 400)[:40], rtol=1e-12, atol=1e-14)
 
 
+def test_sample_kicks_round_cap_keeps_kicks(ref_law, monkeypatch):
+    # rounds are consecutive rows of one stream, so for diagonal K the kicks
+    # do not depend on how many rows a round may draw
+    low = make_kick_law(np.eye(5), 1.0, seed=8, norm_samples=0)   # acceptance ~ 0.037
+    for law in (ref_law, low):
+        whole = sample_kicks(law, law.stream(4), 500)
+        for rows in (1, 3, 64):
+            monkeypatch.setattr(kk, "_ROUND_ENTRIES", rows * law.n)
+            assert np.array_equal(sample_kicks(law, law.stream(4), 500), whole)
+        monkeypatch.undo()
+
+
 def test_sample_kicks_default_law_n400():
     cfg = config_from_dict({"model": {"n": 400}, "kick": {"eps_hat": 0.01}})
     law = make_kick_law(cfg.kick_matrix(), cfg.kick.eps_hat, cfg.kick.seed, norm_samples=0)
@@ -217,9 +229,8 @@ def test_membership_of_projected_samples(ref_pi, ref_law, ref_dichotomy):
 
 
 def test_pushforward_covariance(ref_pi, ref_law):
-    rng = ref_law.stream(10)
     N = 100_000
-    s = np.array([sample_kick(ref_law, rng) for _ in range(N)])
+    s = sample_kicks(ref_law, ref_law.stream(10), N)
     pushed = s @ ref_pi.Pi_mat.T
     emp = pushed.T @ pushed / N
     truncated_cov = s.T @ s / N
