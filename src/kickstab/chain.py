@@ -2,23 +2,29 @@
 
 Every trajectory is stepped by one kernel, ``propagate``: a chain's kicks
 are drawn in one ``sample_kicks`` call on its own stream, pushed through
-Pi once, and a block of chains is stepped together.  A call's kicks are a
-prefix of a longer call's on the same stream (``kicks.sample_kicks``), so a
-chain's first k kicks are those of a k-step run.  Every controlled chain
+Pi once, and a block of chains is stepped together.  Every controlled chain
 steps in X_sigma coordinates c = U^T w, U the stable basis
 (``controlled_states``), so roundoff has no component along the unstable
 mode to amplify, however long the run.
 
-Ensembles are stepped in bounded blocks of whole chains, one
-``run_ensemble`` call per block of at most BLOCK_ENTRIES state entries
-(``stream_blocks``), and each block is reduced by its caller before the
-next is stepped.  Chain c always draws on child c of the ensemble's seed,
-so its kicks do not depend on the block size.  Its states can, in the last
-bits only: the step product is one BLAS product over the block's chains,
-and BLAS picks its kernels and thread split by shape, so a row can round
-differently with the number of rows (a one-chain block takes the
-matrix-vector path).  At n = 20, blocks of 8 or more chains match one block
-bit for bit.
+A single chain, ``run_chain``, returns its (n_steps+1, n) states, drawn on
+the one stream SeedSequence(seed).  A call's kicks are a prefix of a longer
+call's on the same stream (``kicks.sample_kicks``), so a k-step chain is
+the first k steps of a longer one, up to roundoff: the kicks are pushed
+through Pi, and the states mapped back from X_sigma coordinates, in one
+product over all steps, which BLAS can round differently with the number
+of rows.  At n = 20, chains of 100 and 200 steps agree bit for bit.
+
+An ensemble is stepped in bounded blocks of whole chains by
+``ensemble_blocks``: one ``run_ensemble`` call per block of at most
+BLOCK_ENTRIES state entries, each block yielded to its caller to reduce
+before the next is stepped.  Only this module knows the block size.  Chain
+c always draws on child c of the ensemble's seed, so its kicks do not
+depend on the block size.  Its states can, in the last bits only: the step
+product is one BLAS product over the block's chains, and BLAS picks its
+kernels and thread split by shape, so a row can round differently with the
+number of rows (a one-chain block takes the matrix-vector path).  At
+n = 20, blocks of 8 or more chains match one block bit for bit.
 
 Also provides the uncontrolled blow-up demonstration (no projection, full
 space) and the per-trajectory envelope certificate
@@ -29,53 +35,24 @@ violations beyond float roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .artifacts import hash_arrays
 from .errors import NotUnstable
 from .kicks import sample_kicks
 
 __all__ = [
-    "ChainConfig",
-    "Trajectory",
-    "step",
     "propagate",
     "controlled_states",
     "run_chain",
     "run_ensemble",
-    "stream_blocks",
+    "ensemble_blocks",
+    "envelope_bound",
     "envelope_check",
     "uncontrolled_demo",
     "burn_in_floor",
 ]
 
 BLOCK_ENTRIES = 1 << 20    # state entries (chains x (steps+1) x n) of one ensemble block
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    tau: float
-    n_steps: int
-    w0: np.ndarray
-    seed: int
-    record_kicks: bool = False
-
-
-@dataclass
-class Trajectory:
-    states: np.ndarray          # (n_steps+1, n)
-    norms: np.ndarray           # (n_steps+1,)
-    kicks: np.ndarray | None
-    manifest: dict
-    r0: float = np.inf
-    first_entry: int | None = None
-
-
-def step(S_mat, pi, law, w, rng) -> np.ndarray:
-    """One transition: S w + Pi phi with a freshly sampled kick."""
-    return controlled_states(S_mat, pi, w, sample_kicks(law, rng, 1))[1]
 
 
 def propagate(S_mat, B, w0, kicks) -> np.ndarray:
@@ -110,33 +87,19 @@ def controlled_states(S_mat, pi, w0, kicks) -> np.ndarray:
     return c @ U.T
 
 
-def run_chain(config, S_mat, pi, law, gamma0=None) -> Trajectory:
-    """Run one controlled trajectory from config.w0 (must lie in X_sigma).
+def run_chain(S_mat, pi, law, w0, n_steps, seed) -> np.ndarray:
+    """States (n_steps+1, n) of one controlled chain from w0 (must lie in X_sigma).
 
-    Reports the stage threshold r0 = ||Pi|| eps_hat / (1 - gamma0) and the
-    first entry time into the ball of that radius.
+    Its n_steps kicks are one ``sample_kicks`` call on the stream
+    SeedSequence(seed).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    kicks = sample_kicks(law, rng, config.n_steps)
-    states = controlled_states(S_mat, pi, config.w0, kicks)
-    norms = np.linalg.norm(states, axis=1)
-    r0 = np.inf
-    first_entry = None
-    if gamma0 is not None and gamma0 < 1.0:
-        r0 = pi.norm_Pi * law.eps_hat / (1.0 - gamma0)
-        inside = np.nonzero(norms <= r0)[0]
-        first_entry = int(inside[0]) if inside.size else None
-    manifest = {
-        "S_hash": hash_arrays(S_mat),
-        "pi_hash": hash_arrays(pi.Pi_mat),
-        "law_hash": hash_arrays(law.K, law.eps_hat),
-        "seed": config.seed,
-        "tau": config.tau,
-        "n_steps": config.n_steps,
-    }
-    return Trajectory(states=states, norms=norms,
-                      kicks=kicks if config.record_kicks else None,
-                      manifest=manifest, r0=r0, first_entry=first_entry)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return controlled_states(S_mat, pi, w0, sample_kicks(law, rng, n_steps))
+
+
+def _streams(seed, n_chains):
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return ss.spawn(n_chains)
 
 
 def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
@@ -146,7 +109,7 @@ def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
     private stream: child c of ``seed`` (an int or a SeedSequence, spawned
     into n_chains children), or entry c of ``seed`` when it is a list of
     n_chains SeedSequences, such as one block of a parent's children
-    (``stream_blocks``).  A chain's kicks therefore do not depend on how
+    (``ensemble_blocks``).  A chain's kicks therefore do not depend on how
     many chains run beside it, and its first k steps are those of a k-step
     run.  All chains are stepped as one block; see the module docstring for
     how the block size can reach the last bits of the states.
@@ -156,31 +119,37 @@ def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
             raise ValueError(f"{len(seed)} streams for {n_chains} chains")
         streams = seed
     else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        streams = ss.spawn(n_chains)
+        streams = _streams(seed, n_chains)
     return controlled_states(S_mat, pi, w0, np.stack(
         [sample_kicks(law, np.random.default_rng(s), n_steps) for s in streams]))
 
 
-def stream_blocks(seed, n_chains, chain_entries):
-    """The chains' streams of an ensemble, in blocks for ``run_ensemble``.
+def ensemble_blocks(S_mat, pi, law, w0, n_chains, n_steps, seed):
+    """The chains of run_ensemble(..., n_chains, n_steps, seed), block by block.
 
-    Splits seed.spawn(n_chains) (seed an int or a SeedSequence) in chain
-    order into lists of at most BLOCK_ENTRIES // chain_entries streams (at
-    least one), chain_entries being one chain's state entries,
-    (steps+1) * n.  Stepping each list with one ``run_ensemble`` call gives
-    the chains of run_ensemble(..., n_chains, n_steps, seed), one bounded
-    block at a time, up to the roundoff of the step product (module
-    docstring).
+    Splits the children of ``seed`` (an int or a SeedSequence) in chain
+    order into blocks of at most BLOCK_ENTRIES state entries (at least one
+    chain each) and yields the (chains, n_steps+1, n) states of one
+    ``run_ensemble`` call per block, up to the roundoff of the step product
+    (module docstring).
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = ss.spawn(n_chains)
-    size = max(1, BLOCK_ENTRIES // chain_entries)
-    return [streams[lo:lo + size] for lo in range(0, n_chains, size)]
+    streams = _streams(seed, n_chains)
+    size = max(1, BLOCK_ENTRIES // ((n_steps + 1) * S_mat.shape[0]))
+    for lo in range(0, n_chains, size):
+        block = streams[lo:lo + size]
+        yield run_ensemble(S_mat, pi, law, w0, len(block), n_steps, block)
+
+
+def envelope_bound(n_steps, w0_norm, gamma0, norm_Pi, eps_hat) -> np.ndarray:
+    """gamma0^k ||w0|| + ||Pi|| eps_hat / (1 - gamma0) for k = 0..n_steps.
+
+    From w0 = 0 it is the constant stage threshold r0 = ||Pi|| eps_hat / (1 - gamma0).
+    """
+    return gamma0 ** np.arange(n_steps + 1) * w0_norm + norm_Pi * eps_hat / (1.0 - gamma0)
 
 
 def envelope_check(norms, w0_norm, gamma0, norm_Pi, eps_hat, tol=1e-9) -> dict:
-    """Check ||w^k|| <= gamma0^k ||w0|| + ||Pi|| eps_hat/(1-gamma0) per step.
+    """Check ``envelope_bound`` per step; report r0 as ``bound_tail``.
 
     ``norms`` may be a single trajectory (steps+1,) or an ensemble
     (chains, steps+1).  Violations are reported, never raised.
@@ -191,12 +160,11 @@ def envelope_check(norms, w0_norm, gamma0, norm_Pi, eps_hat, tol=1e-9) -> dict:
         report.update({"n_violations": None, "max_residual": None,
                        "note": "gamma0 >= 1: envelope not applicable"})
         return report
-    k = np.arange(norms.shape[1])
-    bound = gamma0 ** k * w0_norm + norm_Pi * eps_hat / (1.0 - gamma0)
+    bound = envelope_bound(norms.shape[1] - 1, w0_norm, gamma0, norm_Pi, eps_hat)
     resid = norms - bound[None, :]
     report["max_residual"] = float(resid.max())
     report["n_violations"] = int(np.sum(resid > tol))
-    report["bound_tail"] = float(norm_Pi * eps_hat / (1.0 - gamma0))
+    report["bound_tail"] = float(envelope_bound(0, 0.0, gamma0, norm_Pi, eps_hat)[0])
     return report
 
 
@@ -214,7 +182,8 @@ def uncontrolled_demo(S, law, w0, n_steps, seed):
     """Run the raw process w~^{k+1} = S w~^k + phi^{k+1} on the full space.
 
     Requires S = S(tau) to have spectral radius above 1 (A has an eigenvalue
-    with Re < 0); returns the trajectory and the fitted per-step growth rate.
+    with Re < 0); returns the (n_steps+1,) norms ||w~^k|| and their fitted
+    per-step growth rate.
     """
     if np.max(np.abs(np.linalg.eigvals(S))) <= 1.0:
         raise NotUnstable("no eigenvalue with negative real part")
@@ -222,10 +191,7 @@ def uncontrolled_demo(S, law, w0, n_steps, seed):
     kicks = sample_kicks(law, rng, n_steps)
     states = propagate(S, np.eye(law.n), np.asarray(w0, dtype=float), kicks)
     norms = np.linalg.norm(states, axis=1)
-    manifest = {"S_hash": hash_arrays(S), "seed": seed,
-                "law_hash": hash_arrays(law.K, law.eps_hat)}
-    traj = Trajectory(states=states, norms=norms, kicks=None, manifest=manifest)
-    return traj, fit_log_growth(norms)
+    return norms, fit_log_growth(norms)
 
 
 def burn_in_floor(eps_hat, w0_norm, gamma0) -> int:

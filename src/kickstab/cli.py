@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -24,12 +25,11 @@ import numpy as np
 from . import __version__
 from .artifacts import canonical_json, emit_series, file_checksum, hash_arrays, write_json
 from .chain import (
-    ChainConfig,
     burn_in_floor,
+    ensemble_blocks,
+    envelope_bound,
     envelope_check,
     run_chain,
-    run_ensemble,
-    stream_blocks,
     uncontrolled_demo,
 )
 from .config import ExperimentConfig, load_config, save_config
@@ -87,11 +87,12 @@ class Pipeline:
     S(tau) once per distinct tau in ``semigroup``), and the artifact dir."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir, seed_override=None):
-        self.cfg = cfg
-        self.out = out_dir
         if seed_override is not None:
+            cfg = copy.deepcopy(cfg)   # the caller's config keeps its seeds
             cfg.run.seed = seed_override
             cfg.mixing.seed = seed_override + 1
+        self.cfg = cfg
+        self.out = out_dir
         os.makedirs(out_dir, exist_ok=True)
         self._cache = {}
         self._manifest_path = os.path.join(out_dir, "manifest.json")
@@ -227,25 +228,26 @@ class Pipeline:
         gamma0, _ = contraction_certificate(dich, S)
         w0 = stable_state(dich, cfg.run.w0_scale, cfg.run.w0_seed)
 
-        traj = run_chain(ChainConfig(tau=tau, n_steps=cfg.run.n_steps, w0=w0,
-                                     seed=cfg.run.seed), S, pi, law, gamma0)
+        # one chain on the run seed: trajectory.csv shows its first n_steps
+        # steps, and the blow-up ratio reads its norm at uncontrolled_steps
+        n_steps, n_unc = cfg.run.n_steps, cfg.run.uncontrolled_steps
+        states = run_chain(S, pi, law, w0, max(n_steps, n_unc), cfg.run.seed)
+        norms = np.linalg.norm(states, axis=1)
         pt = self.path("trajectory.csv")
         cols = ["step", "norm"] + [f"w{i}" for i in range(model.n)]
-        rows = [[k, traj.norms[k]] + list(traj.states[k]) for k in range(len(traj.norms))]
-        emit_series(pt, cols, rows)
+        emit_series(pt, cols, [[k, norms[k]] + list(states[k]) for k in range(n_steps + 1)])
 
-        n_steps = cfg.run.n_steps
-        norms = np.concatenate([
-            np.linalg.norm(run_ensemble(S, pi, law, w0, len(block), n_steps, block), axis=2)
-            for block in stream_blocks(cfg.run.seed, cfg.run.n_chains, (n_steps + 1) * model.n)])
-        rep = envelope_check(norms, float(np.linalg.norm(w0)), gamma0, pi.norm_Pi, law.eps_hat)
+        w0_norm = float(np.linalg.norm(w0))
+        ens_norms = np.concatenate([
+            np.linalg.norm(block, axis=2)
+            for block in ensemble_blocks(S, pi, law, w0, cfg.run.n_chains, n_steps, cfg.run.seed)])
+        rep = envelope_check(ens_norms, w0_norm, gamma0, pi.norm_Pi, law.eps_hat)
         rep["n_chains"] = cfg.run.n_chains
-        bound = gamma0 ** np.arange(norms.shape[1]) * np.linalg.norm(w0) \
-            + pi.norm_Pi * law.eps_hat / (1 - gamma0)
+        bound = envelope_bound(n_steps, w0_norm, gamma0, pi.norm_Pi, law.eps_hat)
         pe = self.path("ensemble_norms.csv")
         emit_series(pe, ["step", "mean_norm", "max_norm", "bound"],
-                    [[k, norms[:, k].mean(), norms[:, k].max(), bound[k]]
-                     for k in range(norms.shape[1])])
+                    [[k, ens_norms[:, k].mean(), ens_norms[:, k].max(), bound[k]]
+                     for k in range(n_steps + 1)])
         pj = self.path("envelope.json")
         write_json(pj, rep)
 
@@ -257,13 +259,11 @@ class Pipeline:
         pb = self.path("blowup.json")
         ev_min = model.eigvals().real.min()
         if ev_min < 0:
-            traj_u, rate = uncontrolled_demo(S, law, w0, cfg.run.uncontrolled_steps, cfg.run.seed)
-            ctrl = run_chain(ChainConfig(tau=tau, n_steps=cfg.run.uncontrolled_steps,
-                                         w0=w0, seed=cfg.run.seed), S, pi, law, gamma0)
+            norms_u, rate = uncontrolled_demo(S, law, w0, n_unc, cfg.run.seed)
             write_json(pb, {"applicable": True,
                             "growth_rate_per_step": rate,
                             "expected_rate": float(-tau * ev_min),
-                            "ratio_uncontrolled_controlled": float(traj_u.norms[-1] / ctrl.norms[-1])})
+                            "ratio_uncontrolled_controlled": float(norms_u[-1] / norms[n_unc])})
         else:
             write_json(pb, {"applicable": False,
                             "note": "no eigenvalue with negative real part"})

@@ -179,6 +179,14 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("run.n_steps", "must be >= 1")
     if cfg.run.n_chains < 1:
         raise ValidationError("run.n_chains", "must be >= 1")
+    if cfg.run.ladder_levels < 1:
+        raise ValidationError("run.ladder_levels", "must be >= 1")
+    if cfg.run.uncontrolled_steps < 2:
+        # the growth rate is a line fitted through the last half of the norms
+        raise ValidationError("run.uncontrolled_steps", "must be >= 2")
+    burn = cfg.run.burn_in
+    if burn is not None and not 0 <= burn < cfg.mixing.slln_steps:
+        raise ValidationError("run.burn_in", "must satisfy 0 <= burn_in < mixing.slln_steps")
     if cfg.mixing.tau <= 0:
         raise ValidationError("mixing.tau", "must be positive")
     if cfg.mixing.n_chains < 2:
@@ -190,6 +198,14 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("density.alpha_source", "must be 'projection' or 'explicit'")
     if cfg.density.alpha_source == "explicit" and cfg.density.alpha is None:
         raise ValidationError("density.alpha", "required for explicit alpha_source")
+    if not 1 <= cfg.density.level <= cfg.run.ladder_levels:
+        raise ValidationError("density.level", "must satisfy 1 <= level <= run.ladder_levels")
+    if cfg.density.grid_points < 1:
+        raise ValidationError("density.grid_points", "must be >= 1")
+    if cfg.density.probe_points < 1:
+        raise ValidationError("density.probe_points", "must be >= 1")
+    if cfg.density.mc_oracle_samples < 10_000:
+        raise ValidationError("density.mc_oracle_samples", "must be >= 10^4")
 
 
 def load_config(path) -> ExperimentConfig:

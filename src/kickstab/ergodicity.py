@@ -17,14 +17,14 @@ import numpy as np
 from scipy.special import stdtrit
 
 from . import chain
-from .chain import burn_in_floor, controlled_states, run_ensemble, stream_blocks
-from .kicks import sample_kicks
+from .chain import burn_in_floor, ensemble_blocks, run_chain
 from .density import (
     QuadratureSpec,
     build_pi_decomposition,
     projected_law,
     tv_lipschitz_ratio,
 )
+from .errors import BurnInBelowFloor
 from .spectral import contraction_certificate, tail_contraction
 
 __all__ = [
@@ -118,14 +118,12 @@ class MixingReport:
 def _ensemble_obs_means(S, pi, law, w0, n_chains, n_steps, seed_seq, observables):
     """Per-step means over chains of the observables, shape (steps+1, size).
 
-    The ensemble is stepped in blocks (``chain.stream_blocks``); each block
-    is evaluated step by step and its values are added to the running sums
-    one chain after another, in chain order, before the next block is
-    stepped.
+    Each block of ``chain.ensemble_blocks`` is evaluated step by step and
+    its values are added to the running sums one chain after another, in
+    chain order, before the next block is stepped.
     """
     sums = np.zeros((n_steps + 1, observables.size))
-    for block in stream_blocks(seed_seq, n_chains, (n_steps + 1) * len(w0)):
-        states = run_ensemble(S, pi, law, w0, len(block), n_steps, block)
+    for states in ensemble_blocks(S, pi, law, w0, n_chains, n_steps, seed_seq):
         for k in range(n_steps + 1):
             vals = observables.evaluate(states[:, k])
             vals[0] += sums[k]
@@ -198,11 +196,9 @@ def slln_average(S, pi, law, w0, n_steps, observables, seed,
                  n_batches=30, checkpoints=None) -> dict:
     """Running averages along one trajectory with batch-means intervals.
 
-    The trajectory is stepped in X_sigma coordinates, like every controlled
-    chain (see ``chain.controlled_states``).
+    The trajectory is ``chain.run_chain``'s, stepped in X_sigma coordinates.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    states = controlled_states(S, pi, w0, sample_kicks(law, rng, n_steps))
+    states = run_chain(S, pi, law, w0, n_steps, seed)
     fv = observables.evaluate(states)
     if checkpoints is None:
         checkpoints = sorted({n_steps // 100, n_steps // 10, n_steps} - {0})
@@ -221,17 +217,17 @@ def slln_average(S, pi, law, w0, n_steps, observables, seed,
 
 
 def stationary_stats(S, pi, law, w0, n_steps, burn_in, seed, gamma0=None) -> dict:
-    """Post-burn-in moments of one long trajectory.
+    """Post-burn-in moments of one long trajectory (``chain.run_chain``).
 
     burn_in must dominate the deterministic transient
-    ceil(log(eps_hat/||w0||)/log gamma0) when gamma0 is supplied.
+    ceil(log(eps_hat/||w0||)/log gamma0) when gamma0 is supplied; below it
+    raises BurnInBelowFloor.
     """
     if gamma0 is not None:
         floor = burn_in_floor(law.eps_hat, float(np.linalg.norm(w0)), gamma0)
         if burn_in < floor:
-            raise ValueError(f"burn_in {burn_in} below the transient floor {floor}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    states = controlled_states(S, pi, w0, sample_kicks(law, rng, n_steps))
+            raise BurnInBelowFloor(f"burn_in {burn_in} below the transient floor {floor}")
+    states = run_chain(S, pi, law, w0, n_steps, seed)
     post = states[burn_in:]
     norms = np.linalg.norm(post, axis=1)
     counts, edges = np.histogram(norms, bins=40)

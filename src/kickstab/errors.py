@@ -65,6 +65,10 @@ class NotInterior(KickstabError):
     """First-variation point is not in the interior of the support."""
 
 
+class BurnInBelowFloor(KickstabError, ValueError):
+    """A burn-in is shorter than the deterministic transient of the chain."""
+
+
 class MissingPrerequisite(KickstabError):
     """A pipeline stage was invoked before its prerequisite artifacts exist."""
 

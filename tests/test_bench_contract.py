@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from kickstab.chain import run_ensemble
+import kickstab.chain as kc
+from kickstab.chain import ensemble_blocks, run_ensemble
 from kickstab.cli import Pipeline
 from kickstab.config import config_from_dict
 from kickstab.density import (
@@ -79,6 +80,24 @@ def test_chain_hooks_read_step_counts(ref_S, ref_pi, ref_law, ref_w0, ref_gamma0
     for fn, args, kwargs in calls:
         hook = lt._info_hook("n_steps", fn)
         assert hook(args, kwargs, fn(*args, **kwargs)) == {"steps": 60}
+
+
+def test_ensemble_blocks_trace_one_run_ensemble_per_block(monkeypatch, ref_S, ref_pi,
+                                                          ref_law, ref_w0):
+    # the ensemble metrics count run_ensemble calls and their states, so
+    # every block must be one call through the rebindable chain.run_ensemble
+    n_chains, n_steps = 7, 5
+    monkeypatch.setattr(kc, "BLOCK_ENTRIES", 3 * (n_steps + 1) * REF["n"])
+    tracer = lt.Tracer()
+    tracer.install()
+    try:
+        blocks = list(ensemble_blocks(ref_S, ref_pi, ref_law, ref_w0, n_chains, n_steps, 5))
+    finally:
+        tracer.uninstall()
+    assert len(blocks) >= 3
+    rec = tracer.summary()["chain.run_ensemble"]
+    assert rec["calls"] == len(blocks)
+    assert rec["steps"] == n_chains * n_steps
 
 
 def test_pipeline_dichotomy_exposes_stable_basis(tmp_path):

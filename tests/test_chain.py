@@ -8,14 +8,13 @@ import kickstab as ks
 import kickstab.chain as kc
 import kickstab.kicks as kk
 from kickstab.chain import (
-    ChainConfig,
     burn_in_floor,
+    controlled_states,
+    ensemble_blocks,
     envelope_check,
     fit_log_growth,
     run_chain,
     run_ensemble,
-    step,
-    stream_blocks,
     uncontrolled_demo,
 )
 from kickstab.errors import NotUnstable
@@ -26,40 +25,37 @@ from tests.conftest import REF
 
 def test_step_degenerate_law_is_pure_semigroup(ref_S, ref_pi, ref_kick_matrix, ref_w0):
     law0 = make_kick_law(ref_kick_matrix, 0.0, seed=0, norm_samples=0)
-    rng = np.random.default_rng(0)
-    out = step(ref_S, ref_pi, law0, ref_w0, rng)
+    out = run_chain(ref_S, ref_pi, law0, ref_w0, 1, 0)[1]
     expected = ref_S @ ref_w0
     assert_allclose(out, expected, rtol=0, atol=1e-13 * np.linalg.norm(expected))
 
 
 def test_step_stays_in_stable_subspace(ref_S, ref_pi, ref_law, ref_dichotomy, ref_w0):
-    rng = np.random.default_rng(1)
-    w = ref_w0
-    for _ in range(20):
-        w = step(ref_S, ref_pi, ref_law, w, rng)
-        assert np.linalg.norm(ref_dichotomy.D.T @ w) < 1e-8
+    states = run_chain(ref_S, ref_pi, ref_law, ref_w0, 20, 1)
+    assert np.abs(states @ ref_dichotomy.D).max() < 1e-8
 
 
 def test_step_deterministic_given_stream_state(ref_S, ref_pi, ref_law, ref_w0):
-    out1 = step(ref_S, ref_pi, ref_law, ref_w0, np.random.default_rng(7))
-    out2 = step(ref_S, ref_pi, ref_law, ref_w0, np.random.default_rng(7))
+    # a chain's k-th state depends on its stream's first k kicks only, up to
+    # the roundoff of products whose BLAS kernel depends on the step count
+    out1 = run_chain(ref_S, ref_pi, ref_law, ref_w0, 1, 7)
+    out2 = run_chain(ref_S, ref_pi, ref_law, ref_w0, 1, 7)
     assert np.array_equal(out1, out2)
+    assert_allclose(run_chain(ref_S, ref_pi, ref_law, ref_w0, 30, 7)[:2], out1,
+                    rtol=1e-12, atol=1e-15)
 
 
 def test_chain_requires_stable_initial_state(ref_S, ref_pi, ref_law):
-    bad = np.ones(REF["n"])
-    cfg = ChainConfig(tau=2.0, n_steps=5, w0=bad, seed=0)
     with pytest.raises(ValueError):
-        run_chain(cfg, ref_S, ref_pi, ref_law)
+        run_chain(ref_S, ref_pi, ref_law, np.ones(REF["n"]), 5, 0)
 
 
 def test_chain_pure_contraction_without_kicks(ref_S, ref_pi, ref_kick_matrix,
                                               ref_w0, ref_gamma0):
     law0 = make_kick_law(ref_kick_matrix, 0.0, seed=0, norm_samples=0)
-    cfg = ChainConfig(tau=2.0, n_steps=30, w0=ref_w0, seed=0)
-    traj = run_chain(cfg, ref_S, ref_pi, law0, gamma0=ref_gamma0)
+    norms = np.linalg.norm(run_chain(ref_S, ref_pi, law0, ref_w0, 30, 0), axis=1)
     k = np.arange(31)
-    assert np.all(traj.norms <= ref_gamma0 ** k * traj.norms[0] * (1 + 1e-9) + 1e-12)
+    assert np.all(norms <= ref_gamma0 ** k * norms[0] * (1 + 1e-9) + 1e-12)
 
 
 def test_threshold_formula():
@@ -69,21 +65,16 @@ def test_threshold_formula():
 
 
 def test_chain_determinism(ref_S, ref_pi, ref_law, ref_kick_matrix, ref_w0):
-    cfg = ChainConfig(tau=2.0, n_steps=40, w0=ref_w0, seed=9, record_kicks=True)
-    t1 = run_chain(cfg, ref_S, ref_pi, ref_law)
+    t1 = run_chain(ref_S, ref_pi, ref_law, ref_w0, 40, 9)
     law2 = make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
                          norm_samples=0)
-    t2 = run_chain(cfg, ref_S, ref_pi, law2)
-    assert np.array_equal(t1.states, t2.states)
-    assert np.array_equal(t1.kicks, t2.kicks)
-    assert t1.manifest == t2.manifest
+    assert np.array_equal(run_chain(ref_S, ref_pi, law2, ref_w0, 40, 9), t1)
 
 
 def test_zero_start_stays_below_tail(ref_S, ref_pi, ref_law, ref_gamma0):
-    cfg = ChainConfig(tau=2.0, n_steps=100, w0=np.zeros(REF["n"]), seed=13)
-    traj = run_chain(cfg, ref_S, ref_pi, ref_law, gamma0=ref_gamma0)
+    states = run_chain(ref_S, ref_pi, ref_law, np.zeros(REF["n"]), 100, 13)
     tail = ref_pi.norm_Pi * ref_law.eps_hat / (1 - ref_gamma0)
-    assert np.all(traj.norms <= tail + 1e-9)
+    assert np.all(np.linalg.norm(states, axis=1) <= tail + 1e-9)
 
 
 def test_envelope_ensemble_zero_violations(ref_S, ref_pi, ref_law, ref_w0, ref_gamma0):
@@ -124,14 +115,14 @@ def test_ensemble_stream_contract(ref_S, ref_pi, ref_law, ref_kick_matrix, ref_w
                           norm_samples=0)
     assert np.array_equal(run_ensemble(ref_S, ref_pi, fresh, ref_w0, 8, 20, seed=5), s8)
     # a single chain's kicks are one bulk draw on its seed's stream
-    cfg = ChainConfig(tau=2.0, n_steps=40, w0=ref_w0, seed=9, record_kicks=True)
-    traj = run_chain(cfg, ref_S, ref_pi, ref_law)
     rng = np.random.default_rng(np.random.SeedSequence(9))
-    assert np.array_equal(traj.kicks, sample_kicks(ref_law, rng, 40))
+    assert np.array_equal(run_chain(ref_S, ref_pi, ref_law, ref_w0, 40, 9),
+                          controlled_states(ref_S, ref_pi, ref_w0,
+                                            sample_kicks(ref_law, rng, 40)))
 
 
 @pytest.mark.parametrize("rows", [1, 8, 16])
-def test_stream_blocks_match_one_block(monkeypatch, ref_S, ref_pi, ref_law, ref_w0, rows):
+def test_ensemble_blocks_match_one_block(monkeypatch, ref_S, ref_pi, ref_law, ref_w0, rows):
     # the simulate stage's reduction, per-chain norms, from blocks of `rows`
     # chains whose kicks are drawn a few rows per round
     n_chains, n_steps = 48, 20
@@ -139,10 +130,9 @@ def test_stream_blocks_match_one_block(monkeypatch, ref_S, ref_pi, ref_law, ref_
                            axis=2)
     monkeypatch.setattr(kc, "BLOCK_ENTRIES", rows * (n_steps + 1) * REF["n"])
     monkeypatch.setattr(kk, "_ROUND_ENTRIES", 3 * REF["n"])
-    blocks = stream_blocks(5, n_chains, (n_steps + 1) * REF["n"])
+    blocks = list(ensemble_blocks(ref_S, ref_pi, ref_law, ref_w0, n_chains, n_steps, 5))
     assert [len(b) for b in blocks] == [rows] * (n_chains // rows)
-    norms = np.concatenate([np.linalg.norm(run_ensemble(
-        ref_S, ref_pi, ref_law, ref_w0, rows, n_steps, b), axis=2) for b in blocks])
+    norms = np.concatenate([np.linalg.norm(b, axis=2) for b in blocks])
     if rows >= 8:
         assert np.array_equal(norms, whole)
     else:
@@ -170,33 +160,24 @@ def test_uncontrolled_pure_mode_growth():
     A = np.diag([-1.0, 2.0])
     law0 = make_kick_law(np.eye(2), 0.0, seed=0, norm_samples=0)
     w0 = np.array([1.0, 0.0])
-    traj, rate = uncontrolled_demo(semigroup(A, 0.5), law0, w0, 30, seed=0)
-    assert_allclose(traj.norms, np.exp(0.5 * np.arange(31)), rtol=1e-12)
+    norms, rate = uncontrolled_demo(semigroup(A, 0.5), law0, w0, 30, seed=0)
+    assert_allclose(norms, np.exp(0.5 * np.arange(31)), rtol=1e-12)
     assert abs(rate - 0.5) < 1e-12
 
 
 def test_uncontrolled_fitted_rate(ref_model, ref_S, ref_law, ref_w0):
-    traj, rate = uncontrolled_demo(ref_S, ref_law, ref_w0, 100, seed=11)
+    _, rate = uncontrolled_demo(ref_S, ref_law, ref_w0, 100, seed=11)
     expected = -2.0 * np.linalg.eigvals(ref_model.A).real.min()
     assert abs(rate - expected) / expected < 0.10
 
 
 def test_controlled_vs_uncontrolled_divergence(ref_S, ref_pi, ref_law,
-                                               ref_kick_matrix, ref_w0, ref_gamma0):
+                                               ref_kick_matrix, ref_w0):
     law2 = make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
                          norm_samples=0)
-    traj_u, _ = uncontrolled_demo(ref_S, ref_law, ref_w0, 100, seed=11)
-    cfg = ChainConfig(tau=2.0, n_steps=100, w0=ref_w0, seed=11)
-    traj_c = run_chain(cfg, ref_S, ref_pi, law2, gamma0=ref_gamma0)
-    assert traj_u.norms[-1] / traj_c.norms[-1] > 1e3
-
-
-def test_stage_threshold_and_entry(ref_S, ref_pi, ref_law, ref_w0, ref_gamma0):
-    cfg = ChainConfig(tau=2.0, n_steps=50, w0=ref_w0, seed=2)
-    traj = run_chain(cfg, ref_S, ref_pi, ref_law, gamma0=ref_gamma0)
-    assert traj.r0 == ref_pi.norm_Pi * ref_law.eps_hat / (1 - ref_gamma0)
-    assert traj.first_entry is not None
-    assert np.all(traj.norms[:traj.first_entry] > traj.r0)
+    norms_u, _ = uncontrolled_demo(ref_S, ref_law, ref_w0, 100, seed=11)
+    states_c = run_chain(ref_S, ref_pi, law2, ref_w0, 100, 11)
+    assert norms_u[-1] / np.linalg.norm(states_c[-1]) > 1e3
 
 
 def test_growth_fit_helper():

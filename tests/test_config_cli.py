@@ -72,6 +72,33 @@ def test_mixing_section_validated(field, value):
     assert f"mixing.{field}" in str(exc.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("run.ladder_levels", 0), ("density.level", 0), ("density.level", 4),
+    ("run.uncontrolled_steps", 0), ("run.uncontrolled_steps", 1),
+    ("density.grid_points", 0), ("density.probe_points", 0),
+    ("density.mc_oracle_samples", 9_999), ("run.burn_in", -5),
+    ("run.burn_in", 20_000), ("run.burn_in", 30_000)])
+def test_crashing_values_rejected_at_load(field, value):
+    # each of these once passed validation and then crashed a stage with an
+    # IndexError, ValueError or LinAlgError (or, for density.level = 0,
+    # silently read the top ladder level)
+    section, key = field.split(".")
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict({"kick": {"eps_hat": 0.01}, section: {key: value}})
+    assert field in str(exc.value)
+
+
+def test_edge_values_accepted_at_load():
+    cfg = config_from_dict({"kick": {"eps_hat": 0.01},
+                            "run": {"ladder_levels": 1, "uncontrolled_steps": 2,
+                                    "burn_in": 19_999},
+                            "density": {"level": 1, "grid_points": 1, "probe_points": 1,
+                                        "mc_oracle_samples": 10_000}})
+    assert cfg.run.burn_in == 19_999
+    assert config_from_dict({"kick": {"eps_hat": 0.01}, "run": {"burn_in": 0},
+                             "density": {"level": 3}}).density.level == 3
+
+
 def test_parse_error_reports_location(tmp_path):
     path = os.path.join(tmp_path, "broken.json")
     with open(path, "w") as fh:
@@ -210,3 +237,72 @@ def test_report_names_failing_checks(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--config", path, "--out", out]) == 1
     assert capsys.readouterr().out == "[report] CHECK FAILED: envelope_zero_violations\n"
+
+
+def test_burn_in_below_floor_stops_mixing_with_named_error(tmp_path, capsys):
+    # an explicit burn-in is checked against the transient floor, which is
+    # known only after certify: the mixing stage stops with exit code 3
+    path = small_config(tmp_path, run={"burn_in": 0}, mixing={"w0_scale": 5.0})
+    out = os.path.join(tmp_path, "out")
+    for stage in ("synth", "dichotomy", "certify"):
+        assert main([stage, "--config", path, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["mixing", "--config", path, "--out", out]) == 3
+    assert "below the transient floor" in capsys.readouterr().err
+
+
+def test_seed_override_leaves_caller_config(tmp_path):
+    from kickstab.artifacts import canonical_json, hash_arrays
+    from kickstab.cli import Pipeline
+
+    cfg = config_from_dict({"kick": {"eps_hat": 0.01}})
+    before = cfg.to_dict()
+    pipe = Pipeline(cfg, os.path.join(tmp_path, "out"), seed_override=5)
+    assert cfg.to_dict() == before
+    assert (pipe.cfg.run.seed, pipe.cfg.mixing.seed) == (5, 6)
+    # the manifest hashes the config the pipeline runs, seeds overridden
+    expected = dict(before, run=dict(before["run"], seed=5),
+                    mixing=dict(before["mixing"], seed=6))
+    assert pipe.config_hash() == hash_arrays(canonical_json(expected))
+
+
+def _simulate(tmp_path, name, **run):
+    from kickstab.cli import Pipeline
+
+    cfg = config_from_dict({"kick": {"eps_hat": 0.01},
+                            "run": dict({"n_steps": 60, "n_chains": 10}, **run)})
+    pipe = Pipeline(cfg, os.path.join(tmp_path, name))
+    for stage in ("synth", "dichotomy", "certify", "simulate"):
+        pipe.run_stage(stage)
+    return pipe
+
+
+@pytest.fixture(scope="module")
+def simulate_pair(tmp_path_factory):
+    # default model (n = 20, one unstable mode), blow-up chain shorter and
+    # longer than the trajectory
+    tmp = tmp_path_factory.mktemp("simulate")
+    return _simulate(tmp, "short", uncontrolled_steps=40), \
+        _simulate(tmp, "long", uncontrolled_steps=90)
+
+
+def test_simulate_trajectory_independent_of_blowup_steps(simulate_pair):
+    short, long_ = simulate_pair
+    assert file_checksum(short.path("trajectory.csv")) == \
+        file_checksum(long_.path("trajectory.csv"))
+
+
+def test_simulate_blowup_reads_a_separate_chain_bit_for_bit(simulate_pair):
+    from kickstab.chain import run_chain, uncontrolled_demo
+    from kickstab.ergodicity import stable_state
+
+    for pipe in simulate_pair:
+        run = pipe.cfg.run
+        S, law = pipe.semigroup(run.tau), pipe.law()
+        w0 = stable_state(pipe.dichotomy(), run.w0_scale, run.w0_seed)
+        ctrl = np.linalg.norm(run_chain(S, pipe.controller(), law, w0,
+                                        run.uncontrolled_steps, run.seed), axis=1)
+        norms_u, _ = uncontrolled_demo(S, law, w0, run.uncontrolled_steps, run.seed)
+        blow = json.load(open(pipe.path("blowup.json")))
+        assert blow["applicable"]
+        assert blow["ratio_uncontrolled_controlled"] == float(norms_u[-1] / ctrl[-1])

@@ -14,7 +14,7 @@ import kickstab as ks
 import kickstab.chain as kc
 import kickstab.kicks as kk
 from kickstab.artifacts import canonical_json
-from kickstab.chain import run_ensemble
+from kickstab.chain import run_chain, run_ensemble
 from kickstab.ergodicity import (
     condition_check,
     energy_distance_test,
@@ -225,15 +225,7 @@ def test_slln_symmetric_law_zero_mean(ref_S, ref_pi, ref_kick_matrix,
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     from kickstab.ergodicity import _batch_ci
-    rng = np.random.default_rng(np.random.SeedSequence(33))
-    from kickstab.kicks import sample_kick
-    S_eff = ref_S @ ref_dichotomy.P_sigma
-    states = np.empty((60_001, REF["n"]))
-    states[0] = w0
-    w = w0.copy()
-    for k in range(60_000):
-        w = S_eff @ w + ref_pi.Pi_mat @ sample_kick(law, rng)
-        states[k + 1] = w
+    states = run_chain(ref_S, ref_pi, law, w0, 60_000, 33)
     _, lo, hi = _batch_ci(states[100:], n_batches=30, level=1 - 0.05 / REF["n"])
     assert np.all((lo <= 0) & (0 <= hi))
 
