@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import linalg as sla
 
 from .errors import ConstructionFailed, SingularA0
 from .spectral import _spectral_norm
@@ -61,7 +63,9 @@ class OseenModel:
 
     obs_idx holds the observable coordinates (0-based); control directions
     live on the complement.  spectrum_cache lists (re, im, multiplicity)
-    records of the dense eigensolve of A.
+    records of the dense eigensolve of A.  complex_schur is A's complex
+    Schur form, computed on first read and shared by every spectral routine
+    that works in Schur coordinates.
     """
 
     n: int
@@ -81,6 +85,19 @@ class OseenModel:
     @property
     def d(self) -> int:
         return self.spectrum.d
+
+    @cached_property
+    def complex_schur(self) -> tuple:
+        """(T, Q) with A = Q T Q^H, T upper triangular and Q unitary.
+
+        Computed once, on first read, and returned read-only: the Riesz
+        quadrature and the contour resolvent norms of ``spectral`` both take
+        their triangular systems from T.
+        """
+        T, Q = sla.schur(self.A, output="complex")
+        T.flags.writeable = False
+        Q.flags.writeable = False
+        return T, Q
 
     def eigvals(self) -> np.ndarray:
         """Complex eigenvalues reconstructed from the cache."""

@@ -182,8 +182,8 @@ def test_stage_incremental_rerun(tmp_path):
 
 
 def test_all_builds_each_semigroup_once(tmp_path, monkeypatch):
-    # one S(tau) per distinct tau of the run: run.tau, mixing.tau and the
-    # certify grid {1, 2, 4, 8}
+    # one expm per distinct tau of the run: run.tau, mixing.tau and S(1);
+    # the certify grid squares S(1) for 2, 4 and 8
     import scipy.linalg
     real_expm = scipy.linalg.expm
     calls = []
@@ -196,7 +196,7 @@ def test_all_builds_each_semigroup_once(tmp_path, monkeypatch):
     path = small_config(tmp_path)
     cfg = load_config(path)
     assert main(["all", "--config", path, "--out", os.path.join(tmp_path, "out")]) == 0
-    assert len(calls) == len({cfg.run.tau, cfg.mixing.tau, 1.0, 2.0, 4.0, 8.0})
+    assert len(calls) == len({cfg.run.tau, cfg.mixing.tau, 1.0})
 
 
 def test_pipeline_semigroup_is_expm(tmp_path):
@@ -209,6 +209,60 @@ def test_pipeline_semigroup_is_expm(tmp_path):
     A = pipe.model().A
     for tau in (cfg.run.tau, cfg.mixing.tau):
         assert np.array_equal(pipe.semigroup(tau), scipy.linalg.expm(-tau * A))
+
+
+def test_squared_semigroup_is_expm_bit_for_bit(tmp_path, ref_model, ref_dichotomy):
+    # the certify grid squares S(1): each square is the expm at twice the
+    # time, bit for bit, so gamma0_grid keeps the per-tau expm's values
+    import scipy.linalg
+    from kickstab.cli import Pipeline
+    from kickstab.spectral import contraction_certificate
+
+    A = ref_model.A
+    for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+        S = scipy.linalg.expm(-t * A)
+        assert np.array_equal(S @ S, scipy.linalg.expm(-2 * t * A))
+    out = os.path.join(tmp_path, "out")
+    pipe = Pipeline(config_from_dict({"kick": {"eps_hat": 0.01}}), out)
+    assert np.array_equal(pipe.model().A, A)
+    for stage in ("synth", "dichotomy", "certify"):
+        assert pipe.run_stage(stage) == 0
+    grid = json.load(open(os.path.join(out, "certificate.json")))["gamma0_grid"]
+    for t in (1.0, 2.0, 4.0, 8.0):
+        S = scipy.linalg.expm(-t * A)
+        assert grid[str(t)] == contraction_certificate(ref_dichotomy, S)[0]
+
+
+def test_certify_takes_one_complex_schur_and_no_complex_svd(tmp_path, monkeypatch):
+    # one complex Schur form per model serves the Riesz quadrature and the
+    # contour resolvent norms; no node takes a dense complex SVD
+    import scipy.linalg
+
+    path = os.path.join(tmp_path, "config.json")
+    with open(path, "w") as fh:
+        json.dump({"kick": {"eps_hat": 0.01}}, fh)
+    out = os.path.join(tmp_path, "out")
+    for stage in ("synth", "dichotomy"):
+        assert main([stage, "--config", path, "--out", out]) == 0
+    real_schur, real_svd = scipy.linalg.schur, np.linalg.svd
+    schurs, svds = [], []
+
+    def counting_schur(a, *args, **kwargs):
+        if kwargs.get("output", args[0] if args else "real") == "complex":
+            schurs.append(np.shape(a))
+        return real_schur(a, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            svds.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert main(["certify", "--config", path, "--out", out]) == 0
+    n = load_config(path).model.n
+    assert schurs == [(n, n)]
+    assert svds == []
 
 
 def test_certificate_records_riesz_schur_residual(tmp_path):

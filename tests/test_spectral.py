@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import kickstab.spectral as sp
-from kickstab.errors import EmptyGap, GapViolation, InvalidContour
+from kickstab.errors import ContourTouchesSpectrum, EmptyGap, GapViolation, InvalidContour
 from kickstab.spectral import (
     contour_bound_integrals,
     contraction_certificate,
@@ -275,6 +275,70 @@ def test_contour_integrals_memory_bounded():
         tracemalloc.stop()
     assert np.isfinite(I1 + I2)
     assert peak < 16 * 2 ** 20
+
+
+def _svd_sigma_min(M):
+    return np.linalg.svd(M, compute_uv=False)[-1]
+
+
+def test_sigma_min_matches_svd_on_every_contour_node(ref_model, monkeypatch):
+    # each node's triangular lambda I + T against a dense SVD of lambda I + A
+    seen = []
+    real = sp._sigma_min_triangular
+
+    def recording(M):
+        val = real(M)
+        seen.append((M.copy(), val))
+        return val
+
+    monkeypatch.setattr(sp, "_sigma_min_triangular", recording)
+    contour_bound_integrals(ref_model, REF["sigma"], REF["tau"])
+    assert len(seen) == 48
+    T, _ = ref_model.complex_schur
+    for M, val in seen:
+        assert not np.any(np.tril(M, -1))
+        lam = M[0, 0] - T[0, 0]
+        oracle = _svd_sigma_min(ref_model.A + lam * np.eye(ref_model.n))
+        assert abs(val / oracle - 1) < 1e-12
+
+
+def test_sigma_min_clustered_nonnormal_triangular():
+    # R from the QR factors of U diag(s) W^H keeps the singular values s; the
+    # two smallest differ by 1e-6 relative, the slow case for Lanczos
+    rng = np.random.default_rng(5)
+    n = 200
+
+    def unitary():
+        Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(Z)[0]
+
+    s = np.logspace(0.0, -2.0, n)
+    s[-2] = s[-1] * (1 + 1e-6)
+    R = np.linalg.qr(unitary() @ np.diag(s) @ unitary().conj().T)[1]
+    M = np.asfortranarray(R)
+    normal_dev = np.linalg.norm(M @ M.conj().T - M.conj().T @ M) / np.linalg.norm(M) ** 2
+    assert normal_dev > 0.1
+    val = sp._sigma_min_triangular(M)
+    assert abs(val / _svd_sigma_min(M) - 1) < 1e-12
+    assert abs(val / s[-1] - 1) < 1e-12
+
+
+def test_sigma_min_tiny_orders():
+    assert abs(sp._sigma_min_triangular(np.array([[3.0 - 4.0j]])) - 5.0) < 1e-15
+    M = np.array([[1.0 + 2.0j, 3.0 - 1.0j], [0.0, -0.5 + 0.25j]], order="F")
+    assert abs(sp._sigma_min_triangular(M) / _svd_sigma_min(M) - 1) < 1e-12
+
+
+def test_sigma_min_singular_shift_raises():
+    # a contour node at -T[2, 2] makes lambda I + T exactly singular
+    rng = np.random.default_rng(4)
+    lam = 0.7 + 0.2j
+    T = np.triu(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    T[2, 2] = -lam
+    M = np.array(T + lam * np.eye(5), order="F")
+    assert M[2, 2] == 0
+    with pytest.raises(ContourTouchesSpectrum):
+        sp._sigma_min_triangular(M)
 
 
 def test_contour_invalid_psi():
