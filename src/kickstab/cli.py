@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -282,15 +283,13 @@ class Pipeline:
     def stage_density(self):
         self.require("density")
         cfg = self.cfg
-        dich, ladder = self.dichotomy(), self.ladder()
+        ladder = self.ladder()
         if cfg.density.alpha_source == "projection":
             pi = self.controller()
             alpha = alpha_from_projection(pi, ladder, cfg.density.level)
             K_proj = projected_kick_covariance(self.cfg.kick_matrix(), ladder, cfg.density.level)
         else:
-            alpha = np.array(cfg.density.alpha, dtype=float)
-            if cfg.density.alpha_shape:
-                alpha = alpha.reshape(cfg.density.alpha_shape)
+            alpha = cfg.explicit_alpha()
             K_proj = np.eye(alpha.shape[0] + alpha.shape[1])
         dec = build_pi_decomposition(alpha)
         law = projected_law(K_proj, cfg.kick.eps_hat)
@@ -455,6 +454,9 @@ def main(argv=None) -> int:
         return worst
     except KickstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception:   # a crash is a runtime error, not a failed check
+        traceback.print_exc()
         return 3
 
 

@@ -1,8 +1,8 @@
 """Experiment configuration: one JSON document, sections mirroring modules.
 
-Unknown keys are rejected; missing optional keys take defaults; cross-field
-constraints that are checkable without an eigensolve are validated at load
-(the sigma gap itself is verified by the dichotomy stage).
+Unknown keys are rejected; missing optional keys take defaults; every value
+that would crash a stage is rejected at load with a ValidationError naming
+its field (the sigma gap itself is verified by the dichotomy stage).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .kicks import make_kick_law
 
 __all__ = ["ExperimentConfig", "load_config", "save_config", "config_from_dict"]
 
@@ -113,8 +114,6 @@ class ExperimentConfig:
         n = self.model.n
         k = self.kick
         if k.K == "dense":
-            if k.entries is None:
-                raise ValidationError("kick.entries", "dense K needs entries")
             return np.array(k.entries, dtype=float).reshape(n, n)
         if k.entries is not None:
             diag = np.array(k.entries, dtype=float)
@@ -124,6 +123,13 @@ class ExperimentConfig:
         if scale is None:
             scale = self.kick.eps_hat ** 2 / diag.sum()
         return np.diag(scale * diag)
+
+    def explicit_alpha(self) -> np.ndarray:
+        """The explicit density.alpha, reshaped to alpha_shape when one is given."""
+        alpha = np.array(self.density.alpha, dtype=float)
+        if self.density.alpha_shape:
+            alpha = alpha.reshape(self.density.alpha_shape)
+        return alpha
 
 
 _SECTIONS = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -171,8 +177,22 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("kick.eps_hat", "required")
     if cfg.kick.eps_hat <= 0:
         raise ValidationError("kick.eps_hat", "must be positive")
-    if cfg.kick.K not in ("diag", "dense"):
+    k = cfg.kick
+    if k.K not in ("diag", "dense"):
         raise ValidationError("kick.K", "must be 'diag' or 'dense'")
+    if k.entries is not None or k.K == "dense":
+        size = m.n ** 2 if k.K == "dense" else m.n
+        if k.entries is None or len(k.entries) != size:
+            raise ValidationError("kick.entries", f"{k.K} K needs {size} entries")
+    if k.scale is not None and k.scale <= 0:
+        raise ValidationError("kick.scale", "must be positive")
+    if k.K == "dense":
+        try:   # make_kick_law's own test, an eigensolve
+            make_kick_law(cfg.kick_matrix(), k.eps_hat, k.seed)
+        except ValueError as exc:   # not symmetric, or not positive definite
+            raise ValidationError("kick.entries", str(exc)) from exc
+    elif k.entries is not None and min(k.entries) <= 0:
+        raise ValidationError("kick.entries", "diagonal entries must be positive")
     if cfg.run.tau <= 0:
         raise ValidationError("run.tau", "must be positive")
     if cfg.run.n_steps < 1:
@@ -194,12 +214,29 @@ def _validate(cfg: ExperimentConfig):
     if cfg.mixing.slln_steps < 30:
         # slln_average's batch-means intervals need a step per batch
         raise ValidationError("mixing.slln_steps", "must be >= 30, the batch-means count")
+    for key in ("n_linear", "n_radial"):
+        if getattr(cfg.mixing, key) < 0:
+            raise ValidationError(f"mixing.{key}", "must be >= 0")
+    if cfg.mixing.n_linear + cfg.mixing.n_radial == 0:
+        # d_k is a maximum over the observables
+        raise ValidationError("mixing.n_linear", "mixing.n_linear + mixing.n_radial must be >= 1")
     if cfg.density.alpha_source not in ("projection", "explicit"):
         raise ValidationError("density.alpha_source", "must be 'projection' or 'explicit'")
-    if cfg.density.alpha_source == "explicit" and cfg.density.alpha is None:
-        raise ValidationError("density.alpha", "required for explicit alpha_source")
+    if cfg.density.alpha_source == "explicit":
+        if cfg.density.alpha is None:
+            raise ValidationError("density.alpha", "required for explicit alpha_source")
+        try:
+            ndim = cfg.explicit_alpha().ndim
+        except ValueError as exc:   # its size does not fit alpha_shape
+            raise ValidationError("density.alpha", str(exc)) from exc
+        if ndim != 2:
+            raise ValidationError("density.alpha", "must be 2-D (nm x m): nest it, or give alpha_shape")
     if not 1 <= cfg.density.level <= cfg.run.ladder_levels:
         raise ValidationError("density.level", "must satisfy 1 <= level <= run.ladder_levels")
+    if cfg.density.radial < 1:
+        raise ValidationError("density.radial", "must be >= 1")
+    if cfg.density.angular < 1:
+        raise ValidationError("density.angular", "must be >= 1")
     if cfg.density.grid_points < 1:
         raise ValidationError("density.grid_points", "must be >= 1")
     if cfg.density.probe_points < 1:

@@ -41,7 +41,6 @@ __all__ = [
     "build_pi_decomposition",
     "projected_law",
     "slice_geometry",
-    "gamma_integrand",
     "density_P",
     "density_batch",
     "density_mass",
@@ -235,29 +234,6 @@ def _slice_gauss(Q, lognorm, zc, r, nodes):
                              np.ones(len(nodes))])
     block = coef @ basis.T
     return np.exp(block, out=block)
-
-
-def gamma_integrand(dec, K_hat, w, x) -> float:
-    """Slice integrand Gamma(w, x): Jacobian times the Gaussian at R^T(w,x).
-
-    K_hat is the precision matrix of the projected Gaussian in standard
-    coordinates; w is given in fiber (theta) coordinates, x in standard
-    offset coordinates.  The Jacobian factor J = det R^T makes the slice
-    integrals reproduce the pushforward measure exactly (the corresponding
-    prefactor in the source construction is stated inverted; mass
-    conservation fixes the sign of the exponent).
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    K_hat = np.asarray(K_hat, dtype=float)
-    z = np.concatenate([w, dec.B2.T @ x])
-    y_b = dec.R.T @ z
-    y = dec.b_basis @ y_b      # standard coordinates
-    sign, logdet_prec = np.linalg.slogdet(K_hat)
-    if sign <= 0:
-        raise ValueError("precision matrix must be positive definite")
-    logg = 0.5 * logdet_prec - 0.5 * dec.n * np.log(2 * np.pi) - 0.5 * y @ K_hat @ y
-    return float(dec.J * np.exp(logg))
 
 
 def _unit_ball_rule(m, quad):

@@ -37,7 +37,6 @@ __all__ = [
     "condition_check",
     "alpha_from_projection",
     "projected_kick_covariance",
-    "energy_distance_test",
     "stable_state",
 ]
 
@@ -180,10 +179,9 @@ def mixing_decay(S, pi, law, w0_A, w0_B, n_chains, n_steps, observables,
 
 
 def _batch_ci(series, n_batches=30, level=0.95):
-    """Batch-means confidence interval for the mean of a (steps, d) series."""
-    series = np.atleast_2d(np.asarray(series, dtype=float))
-    if series.ndim == 1:
-        series = series[:, None]
+    """Batch-means confidence interval for the mean of a (steps,) or (steps, d) series."""
+    series = np.asarray(series, dtype=float)
+    series = series.reshape(len(series), -1)
     usable = (len(series) // n_batches) * n_batches
     batches = series[:usable].reshape(n_batches, -1, series.shape[1]).mean(axis=1)
     mean = batches.mean(axis=0)
@@ -312,31 +310,3 @@ def condition_check(dich, ladder, pi, law, S,
     checks = [v["pass"] for v in report.values() if v.get("pass") is not None]
     report["all_pass"] = bool(all(checks))
     return report
-
-
-def energy_distance_test(X, Y, n_permutations=200, seed=0):
-    """Two-sample energy-distance permutation test; returns (stat, p_value)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.vstack([X, Y])
-    nx = len(X)
-    D = np.linalg.norm(Z[:, None, :] - Z[None, :, :], axis=-1)
-
-    def estat(idx):
-        a = idx[:nx]
-        b = idx[nx:]
-        ab = D[np.ix_(a, b)].mean()
-        aa = D[np.ix_(a, a)].mean()
-        bb = D[np.ix_(b, b)].mean()
-        return 2 * ab - aa - bb
-
-    base = np.arange(len(Z))
-    stat = estat(base)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(len(Z))
-        if estat(perm) >= stat:
-            hits += 1
-    p = (hits + 1) / (n_permutations + 1)
-    return float(stat), float(p)

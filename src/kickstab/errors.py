@@ -13,10 +13,6 @@ class ConstructionFailed(KickstabError):
         self.attempts = attempts
 
 
-class SingularA0(KickstabError):
-    """Stokes part is singular (some eigenvalue <= 0)."""
-
-
 class GapViolation(KickstabError):
     """An eigenvalue real part is too close to the splitting level sigma."""
 

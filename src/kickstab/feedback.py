@@ -1,6 +1,6 @@
-"""Extension operator and feedback projection onto X_sigma.
+"""Feedback projection onto X_sigma.
 
-Both are built from the same Gram system: given control directions g_1..g_m
+It is built from a Gram system: given control directions g_1..g_m
 vanishing on the observable coordinates, the projection
 
     Pi phi = phi + sum_j c_j g_j,   with  M c = -D^T phi,  M_kj = <d_k, g_j>,
@@ -9,9 +9,9 @@ is the identity on X_sigma, leaves observable coordinates untouched, and
 lands in X_sigma.  D holds the orthonormal adjoint unstable basis d_1..d_m
 (columns of ``Dichotomy.D``).  Pi depends on span D only: D -> D R with R
 invertible sends G -> G R (default directions) and M -> R^T M R, which
-leaves G M^{-1} D^T unchanged.  The extension operator lifts data given on
-the observable coordinates by zero (minimal-norm lift) and applies the same
-correction.
+leaves G M^{-1} D^T unchanged.  Applied to data given on the observable
+coordinates and lifted by zero, Pi is the paper's extension operator: it
+keeps the data and lands in X_sigma.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "FeedbackProjector",
     "make_control_geometry",
     "build_pi",
-    "apply_pi",
-    "build_extension",
 ]
 
 COND_CUTOFF = 1e12
@@ -86,18 +84,9 @@ def make_control_geometry(dich, obs_idx, seed=0, max_retries=8) -> ControlGeomet
         f"no invertible Gram system after {max_retries} retries (cond={cond:.2e})")
 
 
-def _solve_correction(geo, rhs):
-    """Coefficients c with M c = -rhs; raises SingularGram when M is unusable."""
-    if geo.M.size == 0:
-        return np.zeros(0)
-    if not np.all(np.isfinite(geo.M)) or geo.cond_M >= COND_CUTOFF:
-        raise SingularGram(f"Gram matrix condition {geo.cond_M:.2e} exceeds cutoff")
-    return np.linalg.solve(geo.M, -rhs)
-
-
 def build_pi(dich, geo) -> FeedbackProjector:
     """Assemble the feedback projection matrix Pi = I - G M^{-1} D^T."""
-    n = dich.P_sigma.shape[0]
+    n = dich.D.shape[0]
     if geo.M.size:
         if geo.cond_M >= COND_CUTOFF:
             raise SingularGram(f"Gram matrix condition {geo.cond_M:.2e} exceeds cutoff")
@@ -106,36 +95,3 @@ def build_pi(dich, geo) -> FeedbackProjector:
         Pi = np.eye(n)
     norm_Pi = float(np.linalg.svd(Pi, compute_uv=False)[0])
     return FeedbackProjector(dichotomy=dich, geometry=geo, Pi_mat=Pi, norm_Pi=norm_Pi)
-
-
-def apply_pi(pi, phi) -> np.ndarray:
-    """Project a fluctuation into X_sigma without touching observable coords.
-
-    Uses the Gram-solve path (not the assembled matrix) so that applying Pi
-    to a zero-lifted observable vector reproduces build_extension exactly.
-    """
-    phi = np.asarray(phi, dtype=float)
-    dich, geo = pi.dichotomy, pi.geometry
-    c = _solve_correction(geo, dich.D.T @ phi)
-    return phi + (geo.G_mat @ c if c.size else 0.0)
-
-
-def lift_observable(n, obs_idx, v0_obs) -> np.ndarray:
-    """Minimal-norm lift: v0 on the observable coordinates, zero elsewhere."""
-    v0_obs = np.asarray(v0_obs, dtype=float)
-    if v0_obs.shape != (len(obs_idx),):
-        raise ValueError("v0_obs must match the number of observable coordinates")
-    out = np.zeros(n)
-    out[list(obs_idx)] = v0_obs
-    return out
-
-def build_extension(dich, geo, v0_obs) -> np.ndarray:
-    """Extend observable data into X_sigma: E v0 = L v0 + sum_j c_j g_j.
-
-    Identical Gram solve as the projection, applied to the zero lift, so
-    Pi(L v0) == E v0 exactly.
-    """
-    n = dich.P_sigma.shape[0]
-    L = lift_observable(n, geo.obs_idx, v0_obs)
-    c = _solve_correction(geo, dich.D.T @ L)
-    return L + (geo.G_mat @ c if c.size else 0.0)

@@ -1,4 +1,4 @@
-"""Truncated-Gaussian kick law: sampling, support ellipsoid, projected density.
+"""Truncated-Gaussian kick law: sampling, exact and Monte Carlo ball mass.
 
 The kick distribution is N(0, K) conditioned on the ball ||phi|| <= eps_hat,
 sampled by plain rejection in K's eigen coordinates, K = V diag(lambda) V^T
@@ -16,8 +16,10 @@ kicks.  The generator's state after a call is not part of this contract.
 The normalization constant 1/c_hat = G(B_eps) is the distribution function
 of the Gaussian quadratic form sum lambda_i z_i^2 at eps_hat^2, computed
 exactly in any dimension by Ruben's chi-square series (``ball_mass``).  The
-Monte Carlo estimate with standard error (``estimate_ball_mass_mc``) is an
-independent check of it.
+Monte Carlo estimate with standard error (``estimate_ball_mass_mc``, read
+lazily as ``KickLaw.norm_const_est``) is an independent check of it; no
+pipeline stage reads it, but the benchmark's layer tracer
+(``perfbench/layertrace.py``) records it as the acceptance rate.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ from .errors import DegenerateCovariance, RejectionCap
 __all__ = [
     "KickLaw",
     "make_kick_law",
-    "diag_correlation",
     "sample_kick",
     "sample_kicks",
     "ball_mass",
     "estimate_ball_mass_mc",
-    "support_ellipsoid_membership",
-    "qnu_density",
 ]
 
 REJECTION_WINDOW = 1_000_000
@@ -101,12 +100,6 @@ class KickLaw:
         parts = tuple(_key_int(k) for k in key)
         return np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(stream_id, *parts)))
-
-
-def diag_correlation(n, scale=1.0, power=2.0) -> np.ndarray:
-    """Trace-class diagonal correlation pattern K_jj = scale * j^(-power)."""
-    j = np.arange(1, n + 1, dtype=float)
-    return np.diag(scale * j ** -power)
 
 
 def make_kick_law(K, eps_hat, seed, stream_id=0, norm_samples=200_000) -> KickLaw:
@@ -234,53 +227,3 @@ def sample_kick(law, rng) -> np.ndarray:
     the benchmark's tracer, which rebinds ``kicks.sample_kick`` by name).
     """
     return sample_kicks(law, rng, 1)[0]
-
-
-def support_ellipsoid_membership(alpha_op, eps_hat, x) -> bool:
-    """Membership of x in the pushforward support ellipsoid.
-
-    alpha_op maps the unstable block to the target block; the test point is
-    a member when the minimal preimage norm
-    ||x - A y_hat||^2 + ||y_hat||^2, with y_hat = (A^T A + I)^{-1} A^T x,
-    does not exceed eps_hat^2 (boundary points count as members).
-    """
-    A = np.asarray(alpha_op, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if A.size == 0 or np.all(A == 0.0):
-        return float(x @ x) <= eps_hat ** 2
-    yhat = np.linalg.solve(A.T @ A + np.eye(A.shape[1]), A.T @ x)
-    resid = x - A @ yhat
-    return float(resid @ resid + yhat @ yhat) <= eps_hat ** 2
-
-
-def _gaussian_logpdf(y, cov):
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise DegenerateCovariance("projected covariance not positive definite")
-    alpha = np.linalg.solve(cov, y)
-    return -0.5 * (len(y) * np.log(2 * np.pi) + logdet + y @ alpha)
-
-
-def qnu_density(Q, law, y, c_hat=None) -> float:
-    """Density of the projected truncated law at y (subspace coordinates).
-
-    Q is an n x r matrix with orthonormal columns spanning the subspace.
-    Returns c_hat * chi_{||y|| <= eps_hat} * g(y) with g the Gaussian
-    density of covariance Q^T K Q, normalized to unit mass on the subspace.
-    The truncation constant c_hat is ``1 / ball_mass`` unless supplied.
-    """
-    Q = np.asarray(Q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = Q.shape[1]
-    if np.linalg.norm(Q.T @ Q - np.eye(r)) > 1e-8:
-        raise ValueError("Q must have orthonormal columns")
-    cov = Q.T @ law.K @ Q
-    evals = np.linalg.eigvalsh(cov)
-    if evals.min() < 1e-14:
-        raise DegenerateCovariance(
-            f"projected covariance eigenvalue {evals.min():.2e} below 1e-14")
-    if float(y @ y) > law.eps_hat ** 2:
-        return 0.0
-    if c_hat is None:
-        c_hat = 1.0 / ball_mass(evals, law.eps_hat)
-    return float(c_hat * np.exp(_gaussian_logpdf(y, cov)))

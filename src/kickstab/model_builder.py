@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import ConstructionFailed, SingularA0
+from .errors import ConstructionFailed
 from .spectral import _spectral_norm
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "OseenModel",
     "synth_stokes_spectrum",
     "build_oseen",
-    "verify_relative_bound",
 ]
 
 
@@ -285,14 +284,3 @@ def build_oseen(spec, b, n_unstable, sigma, obs_idx, seed,
     raise ConstructionFailed(
         f"could not realize {n_unstable} unstable eigenvalues at sigma={sigma} "
         f"with b={b}", attempts=eigensolves)
-
-
-def verify_relative_bound(model) -> float:
-    """Recompute ||A1 A0^{-1/2}||_2 from scratch (SVD).
-
-    Raises SingularA0 when any Stokes eigenvalue is <= 0.
-    """
-    mu = np.diag(model.A0)
-    if np.any(mu <= 0):
-        raise SingularA0("A0 has a nonpositive eigenvalue")
-    return _spectral_norm(model.A1 @ np.diag(mu ** -0.5))

@@ -7,11 +7,12 @@ defective or not.  X_sigma is the orthogonal complement of span{d_j}; it is
 invariant under S(tau) = e^{-A tau} and the restricted operator norm there
 is the contraction constant gamma_0.
 
-S(tau) is formed only by ``semigroup``; callers build it once per tau and
-pass it to the contraction constants.  certify checks the quadrature
-projector ``riesz_projector`` against the sorted real Schur one; the
-quadrature runs in complex Schur coordinates, one triangular inverse per
-node.
+S(tau) is formed only by ``semigroup``, by scaling and squaring (``expm``);
+callers build it once per tau and pass it to the contraction constants.
+certify checks the quadrature projector ``riesz_projector`` against the
+sorted real Schur one.  The quadrature uses a fixed _RIESZ_NODES-node rule
+on a rectangle and runs in complex Schur coordinates, one triangular
+inverse per node.
 
 The contour bounds (I1, I2) of ``contour_bound_integrals`` bound S(tau) on
 X_sigma by a Dunford integral of the resolvent norm along a shifted sector
@@ -61,6 +62,7 @@ __all__ = [
 ]
 
 _LANCZOS_RTOL = 1e-14  # relative Ritz residual at which inverse Lanczos stops
+_RIESZ_NODES = 256     # Gauss-Legendre nodes on the Riesz rectangle, shared by its four edges
 
 
 def _as_matrix(model_or_A) -> np.ndarray:
@@ -95,19 +97,18 @@ def _spectral_norm(M) -> float:
 class Dichotomy:
     """Orthogonal stable/unstable splitting of R^n at level sigma.
 
-    D and stable_basis are orthonormal; P_sigma = I - D D^T.
+    D and stable_basis are orthonormal; X_sigma = (span D)^perp.
     """
 
     sigma: float
     m: int
     D: np.ndarray        # n x m orthonormal adjoint unstable basis (Schur vectors)
-    P_sigma: np.ndarray  # orthogonal projector onto X_sigma = (span D)^perp
     gap: float           # distance from {Re = sigma} to the spectrum
     stable_basis: np.ndarray  # n x (n-m) orthonormal basis of X_sigma
 
     @property
     def n(self) -> int:
-        return self.P_sigma.shape[0]
+        return self.D.shape[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,9 +182,8 @@ def eig_split(model, sigma, gap_tol=1e-6) -> Dichotomy:
         raise GapViolation(f"eigenvalue real part within {gap_tol} of sigma={sigma} (gap={gap:.3e})")
     Z, (m,) = _ordered_schur(A, [sigma])
     D = Z[:, :m]
-    P_sigma = np.eye(A.shape[0]) - D @ D.T
-    return Dichotomy(sigma=float(sigma), m=m, D=D, P_sigma=P_sigma,
-                     gap=gap, stable_basis=_complement_basis(D))
+    return Dichotomy(sigma=float(sigma), m=m, D=D, gap=gap,
+                     stable_basis=_complement_basis(D))
 
 
 def _rectangle_nodes(re_lo, re_hi, im_lo, im_hi, n_nodes):
@@ -206,8 +206,8 @@ def _rectangle_nodes(re_lo, re_hi, im_lo, im_hi, n_nodes):
     return np.array(nodes), np.array(weights)
 
 
-def _contour_integral(model_or_A, nodes, weights, factor=None, dist_tol=1e-8):
-    """(2 pi i)^{-1} * counterclockwise sum of weights * factor * (lambda I - A)^{-1}.
+def _contour_integral(model_or_A, nodes, weights, dist_tol=1e-8):
+    """(2 pi i)^{-1} * counterclockwise sum of weights * (lambda I - A)^{-1}.
 
     Equals the same integral of (A - lambda I)^{-1} with the opposite
     orientation (the contour "enclosing from the left").  The sum is taken in
@@ -225,7 +225,7 @@ def _contour_integral(model_or_A, nodes, weights, factor=None, dist_tol=1e-8):
         M = -T
         M.flat[::n + 1] += z
         R, _ = sla.lapack.ztrtri(M, overwrite_c=1)
-        R *= wz * (1.0 if factor is None else factor(z))
+        R *= wz
         acc += R
     del M, R  # free the last inverse before the two products
     acc = Q @ acc
@@ -238,15 +238,13 @@ def _contour_integral(model_or_A, nodes, weights, factor=None, dist_tol=1e-8):
     return acc.real
 
 
-def riesz_projector(model, sigma, n_nodes=256, gap_tol=1e-6) -> np.ndarray:
+def riesz_projector(model, sigma, gap_tol=1e-6) -> np.ndarray:
     """Riesz projector onto modes with Re < sigma by rectangle quadrature.
 
     The closed rectangle has its right edge on {Re = sigma}; margins are
     half the spectral gap.  With no enclosed eigenvalue the result is the
     zero matrix.
     """
-    if n_nodes < 16:
-        raise ValueError("n_nodes must be >= 16")
     ev = _eigvals(model)
     gap = float(np.min(np.abs(ev.real - sigma)))
     if gap < gap_tol:
@@ -257,31 +255,16 @@ def riesz_projector(model, sigma, n_nodes=256, gap_tol=1e-6) -> np.ndarray:
         H = float(np.max(np.abs(enclosed.imag))) + 0.5 * gap
     else:
         re_lo, H = sigma - 1.0, 1.0
-    nodes, weights = _rectangle_nodes(re_lo, sigma, -H, H, n_nodes)
+    nodes, weights = _rectangle_nodes(re_lo, sigma, -H, H, _RIESZ_NODES)
     return _contour_integral(model, nodes, weights)
 
 
-def semigroup(model, tau, method="scaling_squaring", n_nodes=512) -> np.ndarray:
-    """S(tau) = e^{-A tau}, by scaling-and-squaring or by contour quadrature.
-
-    The contour method integrates (2 pi i)^{-1} * resolvent * e^{-lambda tau}
-    over a rectangle enclosing the whole spectrum.
-    """
+def semigroup(model, tau) -> np.ndarray:
+    """S(tau) = e^{-A tau} by scaling and squaring (``scipy.linalg.expm``)."""
     A = _as_matrix(model)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if method == "scaling_squaring":
-        return sla.expm(-tau * A)
-    if method != "contour":
-        raise ValueError(f"unknown method {method!r}")
-    ev = _eigvals(model)
-    spread = max(1.0, float(ev.real.max() - ev.real.min()))
-    margin = max(0.5, 0.05 * spread)
-    re_lo = float(ev.real.min()) - margin
-    re_hi = float(ev.real.max()) + margin
-    H = float(np.max(np.abs(ev.imag))) + margin
-    nodes, weights = _rectangle_nodes(re_lo, re_hi, -H, H, n_nodes)
-    return _contour_integral(model, nodes, weights, factor=lambda z: np.exp(-z * tau))
+    return sla.expm(-tau * A)
 
 
 def restricted_norm(S, basis) -> float:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference model and its assembled components.
+"""Shared fixtures (the reference model and its assembled components) and
+the support-ellipsoid reference shared by the kick and density tests.
 
 Reference configuration (n = 20, d = 2, one unstable eigenvalue, sigma = 0.5,
 b = 0.5, eps_hat = 0.01, K following the j^-2 trace-class pattern scaled so
@@ -31,6 +32,24 @@ REF = {
     "kick_seed": 7,
     "tau": 2.0,
 }
+
+
+def support_ellipsoid_membership(alpha_op, eps_hat, x) -> bool:
+    """Membership of x in the pushforward support ellipsoid, by its definition.
+
+    Reference for ``density.slice_geometry`` and
+    ``PiDecomposition.support_quadform``.  alpha_op maps the unstable block
+    to the target block; x is a member when the minimal preimage norm
+    ||x - A y_hat||^2 + ||y_hat||^2, with y_hat = (A^T A + I)^{-1} A^T x,
+    does not exceed eps_hat^2 (boundary points count as members).
+    """
+    A = np.asarray(alpha_op, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if A.size == 0 or np.all(A == 0.0):
+        return float(x @ x) <= eps_hat ** 2
+    yhat = np.linalg.solve(A.T @ A + np.eye(A.shape[1]), A.T @ x)
+    resid = x - A @ yhat
+    return float(resid @ resid + yhat @ yhat) <= eps_hat ** 2
 
 
 @pytest.fixture(scope="session")

@@ -72,19 +72,47 @@ def test_mixing_section_validated(field, value):
     assert f"mixing.{field}" in str(exc.value)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("run.ladder_levels", 0), ("density.level", 0), ("density.level", 4),
-    ("run.uncontrolled_steps", 0), ("run.uncontrolled_steps", 1),
-    ("density.grid_points", 0), ("density.probe_points", 0),
-    ("density.mc_oracle_samples", 9_999), ("run.burn_in", -5),
-    ("run.burn_in", 20_000), ("run.burn_in", 30_000)])
-def test_crashing_values_rejected_at_load(field, value):
+_DENSE = {"kick": {"K": "dense"}}
+_EXPLICIT = {"density": {"alpha_source": "explicit"}}
+_ASYMMETRIC, _INDEFINITE = np.eye(20), np.eye(20)
+_ASYMMETRIC[0, 1] = 0.5
+_INDEFINITE[0, 0] = -1.0
+
+
+def _case(field, value, others=None, name=None):
+    return pytest.param(field, value, others or {}, id=name or f"{field}-{value}")
+
+
+@pytest.mark.parametrize("field, value, others", [
+    _case("run.ladder_levels", 0), _case("density.level", 0), _case("density.level", 4),
+    _case("run.uncontrolled_steps", 0), _case("run.uncontrolled_steps", 1),
+    _case("density.grid_points", 0), _case("density.probe_points", 0),
+    _case("density.mc_oracle_samples", 9_999), _case("run.burn_in", -5),
+    _case("run.burn_in", 20_000), _case("run.burn_in", 30_000),
+    _case("kick.entries", [1.0] * 19, name="kick.entries-diag_short"),
+    _case("kick.entries", [1.0] * 20, _DENSE, name="kick.entries-dense_short"),
+    _case("kick.entries", [1.0] * 19 + [0.0], name="kick.entries-diag_zero"),
+    _case("kick.scale", 0.0), _case("kick.scale", -1.0),
+    _case("kick.entries", _ASYMMETRIC.ravel().tolist(), _DENSE, name="kick.entries-asymmetric"),
+    _case("kick.entries", _INDEFINITE.ravel().tolist(), _DENSE, name="kick.entries-indefinite"),
+    _case("density.radial", 0), _case("density.angular", 0),
+    _case("mixing.n_linear", -1), _case("mixing.n_radial", -1),
+    _case("mixing.n_radial", 0, {"mixing": {"n_linear": 0}}, name="mixing.n_radial-0-no_linear"),
+    _case("density.alpha", [1.0, 2.0, 3.0], {"density": {"alpha_source": "explicit",
+                                                          "alpha_shape": [2, 2]}},
+          name="density.alpha-size_not_shape"),
+    _case("density.alpha", [1.0, 2.0], _EXPLICIT, name="density.alpha-flat_no_shape")])
+def test_crashing_values_rejected_at_load(field, value, others):
     # each of these once passed validation and then crashed a stage with an
-    # IndexError, ValueError or LinAlgError (or, for density.level = 0,
-    # silently read the top ladder level)
+    # IndexError, ValueError, ZeroDivisionError or LinAlgError (or, for
+    # density.level = 0, silently read the top ladder level)
+    doc = {"kick": {"eps_hat": 0.01}}
+    for sec, vals in others.items():
+        doc.setdefault(sec, {}).update(vals)
     section, key = field.split(".")
+    doc.setdefault(section, {})[key] = value
     with pytest.raises(ValidationError) as exc:
-        config_from_dict({"kick": {"eps_hat": 0.01}, section: {key: value}})
+        config_from_dict(doc)
     assert field in str(exc.value)
 
 
@@ -97,6 +125,14 @@ def test_edge_values_accepted_at_load():
     assert cfg.run.burn_in == 19_999
     assert config_from_dict({"kick": {"eps_hat": 0.01}, "run": {"burn_in": 0},
                              "density": {"level": 3}}).density.level == 3
+    # one-node slice rules, one observable, a flat alpha with its shape, and
+    # an SPD dense K given entry by entry
+    cfg = config_from_dict({"kick": {"eps_hat": 0.01, "K": "dense",
+                                     "entries": (0.01 * np.eye(20)).ravel().tolist()},
+                            "density": {"radial": 1, "angular": 1, "alpha_source": "explicit",
+                                        "alpha": [0.5, -0.2], "alpha_shape": [2, 1]},
+                            "mixing": {"n_linear": 0, "n_radial": 1}})
+    assert cfg.explicit_alpha().shape == (2, 1)
 
 
 def test_parse_error_reports_location(tmp_path):
@@ -141,6 +177,20 @@ def test_unknown_subcommand_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", path])
     assert exc.value.code == 2
+
+
+def test_stage_crash_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
+    # exit 1 means a verification check failed; a crash is a runtime error
+    from kickstab.cli import Pipeline
+
+    def crash(self):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(Pipeline, "stage_synth", crash)
+    path = small_config(tmp_path)
+    assert main(["all", "--config", path, "--out", os.path.join(tmp_path, "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: boom" in err
 
 
 def test_stage_order_enforced(tmp_path):

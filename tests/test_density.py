@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import kickstab.density as ds
 from kickstab.cli import main
 from kickstab.density import (
+    DEFAULT_QUAD,
     QuadratureSpec,
     boundary_exponent_probe,
     build_pi_decomposition,
@@ -17,7 +19,6 @@ from kickstab.density import (
     density_mass,
     density_P,
     first_variation,
-    gamma_integrand,
     lagrange_boundary_step,
     mc_density_oracle,
     projected_law,
@@ -26,7 +27,30 @@ from kickstab.density import (
     tv_lipschitz_ratio,
 )
 from kickstab.errors import NotInterior, ProbeOffBoundary
-from kickstab.kicks import support_ellipsoid_membership
+from tests.conftest import support_ellipsoid_membership
+
+
+def gamma_integrand(dec, K_hat, w, x) -> float:
+    """Slice integrand Gamma(w, x), one point: scalar reference of ``density._slice_gauss``.
+
+    Jacobian times the Gaussian at R^T(w,x).  K_hat is the precision matrix
+    of the projected Gaussian in standard coordinates; w is given in fiber
+    (theta) coordinates, x in standard offset coordinates.  The Jacobian
+    factor J = det R^T makes the slice integrals reproduce the pushforward
+    measure exactly (the corresponding prefactor in the source construction
+    is stated inverted; mass conservation fixes the sign of the exponent).
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    K_hat = np.asarray(K_hat, dtype=float)
+    z = np.concatenate([w, dec.B2.T @ x])
+    y_b = dec.R.T @ z
+    y = dec.b_basis @ y_b      # standard coordinates
+    sign, logdet_prec = np.linalg.slogdet(K_hat)
+    if sign <= 0:
+        raise ValueError("precision matrix must be positive definite")
+    logg = 0.5 * logdet_prec - 0.5 * dec.n * np.log(2 * np.pi) - 0.5 * y @ K_hat @ y
+    return float(dec.J * np.exp(logg))
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +206,28 @@ def test_integrand_bounded_on_ball(dec12, law12):
     vals = np.array(vals)
     assert np.all(vals > 0)
     assert np.isfinite(vals.max() / vals.min())
+
+
+@pytest.mark.parametrize("alpha", [[[0.8], [-0.5]], [[0.9, -0.3], [0.2, 1.1]]],
+                         ids=["m1", "m2"])
+def test_slice_kernel_matches_scalar_integrand(alpha):
+    # the vectorised kernel at every node of the pipeline's unit-ball rule,
+    # at interior points of the support, against the scalar Gamma / J
+    dec = build_pi_decomposition(np.array(alpha))
+    A = np.random.default_rng(8).standard_normal((dec.n, dec.n))
+    law = projected_law(A @ A.T / dec.n + 0.2 * np.eye(dec.n), 1.0)
+    M = dec.support_quadform()
+    xdir = np.linspace(1.0, -0.6, dec.nm)
+    xs = np.outer([0.0, 0.4, 0.85], xdir / np.sqrt(xdir @ M @ xdir))
+    zc, rad2 = ds._slice_coords(dec, law.eps, xs)
+    r = np.sqrt(rad2)
+    nodes, _ = ds._unit_ball_rule(dec.m, DEFAULT_QUAD)
+    G = ds._slice_gauss(*ds._slice_precision(dec, law), zc, r, nodes)
+    K_hat = np.linalg.inv(law.K)
+    ref = np.array([[gamma_integrand(dec, K_hat, zc[i, :dec.m] + r[i] * nu, x) / dec.J
+                     for nu in nodes] for i, x in enumerate(xs)])
+    assert np.all(rad2 > 0)
+    assert np.max(np.abs(G - ref) / ref) <= 1e-12
 
 
 # -- density ------------------------------------------------------------------

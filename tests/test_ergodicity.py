@@ -17,7 +17,6 @@ from kickstab.artifacts import canonical_json
 from kickstab.chain import run_chain, run_ensemble
 from kickstab.ergodicity import (
     condition_check,
-    energy_distance_test,
     make_observables,
     mixing_decay,
     slln_average,
@@ -258,7 +257,8 @@ def test_stationary_covariance_matches_lyapunov(ref_model, ref_S, ref_pi,
     K = ref_kick_matrix
     eps_big = 10 * np.sqrt(np.trace(ref_pi.Pi_mat @ K @ ref_pi.Pi_mat.T))
     law = make_kick_law(K, eps_big, seed=REF["kick_seed"], norm_samples=0)
-    T = ref_S @ ref_dichotomy.P_sigma
+    D = ref_dichotomy.D
+    T = ref_S @ (np.eye(REF["n"]) - D @ D.T)   # S on X_sigma, zero on span D
     Q = ref_pi.Pi_mat @ K @ ref_pi.Pi_mat.T
     Sigma = solve_discrete_lyapunov(T, Q)
     nrep, nsteps, burn = 24, 600, 40
@@ -275,6 +275,34 @@ def test_stationary_covariance_matches_lyapunov(ref_model, ref_S, ref_pi,
     iu = np.triu_indices(REF["n"])
     alpha = 0.01
     assert z[iu].max() <= t_dist.ppf(1 - alpha / (2 * len(iu[0])), nrep - 1)
+
+
+def energy_distance_test(X, Y, n_permutations=200, seed=0):
+    """Two-sample energy-distance permutation test; returns (stat, p_value)."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    Z = np.vstack([X, Y])
+    nx = len(X)
+    D = np.linalg.norm(Z[:, None, :] - Z[None, :, :], axis=-1)
+
+    def estat(idx):
+        a = idx[:nx]
+        b = idx[nx:]
+        ab = D[np.ix_(a, b)].mean()
+        aa = D[np.ix_(a, a)].mean()
+        bb = D[np.ix_(b, b)].mean()
+        return 2 * ab - aa - bb
+
+    base = np.arange(len(Z))
+    stat = estat(base)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(len(Z))
+        if estat(perm) >= stat:
+            hits += 1
+    p = (hits + 1) / (n_permutations + 1)
+    return float(stat), float(p)
 
 
 def test_stationarity_energy_distance(ref_S, ref_pi, ref_kick_matrix, ref_dichotomy):
@@ -305,3 +333,7 @@ def test_batch_ci_quantile_is_student_t():
     tq = t_dist.ppf(0.975, 29)
     assert np.array_equal(lo, mean - tq * se)
     assert np.array_equal(hi, mean + tq * se)
+    # a 1-D series is one column
+    m1, lo1, hi1 = _batch_ci(series[:, 0], n_batches=30)
+    assert m1.shape == (1,)
+    np.testing.assert_allclose(np.stack([m1, lo1, hi1]), np.stack([mean, lo, hi])[:, :1], rtol=1e-13)

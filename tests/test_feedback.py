@@ -1,25 +1,21 @@
-"""Feedback projection and extension operator against the Gram system."""
+"""Feedback projection against the Gram system.
+
+Pi is applied as the assembled matrix ``Pi_mat``, which is what the chain
+steps with (``chain.controlled_states``).
+"""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from kickstab.errors import SingularGram
-from kickstab.feedback import (
-    ControlGeometry,
-    apply_pi,
-    build_extension,
-    build_pi,
-    lift_observable,
-    make_control_geometry,
-)
+from kickstab.feedback import ControlGeometry, build_pi, make_control_geometry
 
 
 class TinyDich:
     """Two-dimensional instance: d1 = (1,1)/sqrt(2), X_sigma = span{(1,-1)}."""
 
     D = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    P_sigma = np.eye(2) - 0.5 * np.ones((2, 2))
 
 
 def tiny_geometry(g=np.array([[0.0], [1.0]])):
@@ -32,17 +28,15 @@ def test_hand_solved_projection():
     # c = -<d, phi>/<d, g> = -1, so Pi(1,0) = (1,0) - (0,1) = (1,-1)
     d, geo = tiny_geometry()
     pi = build_pi(d, geo)
-    assert_allclose(apply_pi(pi, [1.0, 0.0]), [1.0, -1.0], atol=1e-14)
+    assert_allclose(pi.Pi_mat @ [1.0, 0.0], [1.0, -1.0], atol=1e-14)
 
 
 def test_hand_solved_extension_matches():
+    # the extension of observable data v0 = 1 is Pi of its zero lift (1, 0)
     d, geo = tiny_geometry()
-    ext = build_extension(d, geo, [1.0])
+    ext = build_pi(d, geo).Pi_mat @ [1.0, 0.0]
     assert_allclose(ext, [1.0, -1.0], atol=1e-14)
-    # identical Gram solve: projection of the lift is the extension, exactly
-    pi = build_pi(d, geo)
-    lift = lift_observable(2, geo.obs_idx, [1.0])
-    assert np.array_equal(apply_pi(pi, lift), ext)
+    assert ext[0] == 1.0
 
 
 def test_orthogonal_direction_singular_gram():
@@ -53,9 +47,10 @@ def test_orthogonal_direction_singular_gram():
 
 def test_identity_on_stable_subspace(ref_dichotomy, ref_pi):
     rng = np.random.default_rng(2)
+    U = ref_dichotomy.stable_basis
     for _ in range(20):
-        v = ref_dichotomy.P_sigma @ rng.standard_normal(ref_pi.n)
-        assert np.linalg.norm(apply_pi(ref_pi, v) - v) < 1e-10 * max(1, np.linalg.norm(v))
+        v = U @ (U.T @ rng.standard_normal(ref_pi.n))
+        assert np.linalg.norm(ref_pi.Pi_mat @ v - v) < 1e-10 * max(1, np.linalg.norm(v))
 
 
 def test_observable_coordinates_untouched(ref_pi):
@@ -63,7 +58,7 @@ def test_observable_coordinates_untouched(ref_pi):
     obs = list(ref_pi.geometry.obs_idx)
     for _ in range(20):
         phi = rng.standard_normal(ref_pi.n)
-        out = apply_pi(ref_pi, phi)
+        out = ref_pi.Pi_mat @ phi
         assert np.array_equal(out[obs], phi[obs])
 
 
@@ -72,17 +67,17 @@ def test_idempotent_and_range(ref_dichotomy, ref_pi):
     assert np.linalg.norm(ref_pi.Pi_mat @ ref_pi.Pi_mat - ref_pi.Pi_mat) < 1e-10
     assert np.linalg.norm(ref_dichotomy.D.T @ ref_pi.Pi_mat) < 1e-10
     phi = rng.standard_normal(ref_pi.n)
-    once = apply_pi(ref_pi, phi)
-    assert np.linalg.norm(apply_pi(ref_pi, once) - once) < 1e-12
-    assert_allclose(apply_pi(ref_pi, np.zeros(ref_pi.n)), np.zeros(ref_pi.n))
+    once = ref_pi.Pi_mat @ phi
+    assert np.linalg.norm(ref_pi.Pi_mat @ once - once) < 1e-12
+    assert_allclose(ref_pi.Pi_mat @ np.zeros(ref_pi.n), np.zeros(ref_pi.n))
 
 
 def test_linearity(ref_pi):
     rng = np.random.default_rng(5)
     phi, psi = rng.standard_normal((2, ref_pi.n))
     a, b = 0.7, -1.3
-    lhs = apply_pi(ref_pi, a * phi + b * psi)
-    rhs = a * apply_pi(ref_pi, phi) + b * apply_pi(ref_pi, psi)
+    lhs = ref_pi.Pi_mat @ (a * phi + b * psi)
+    rhs = a * (ref_pi.Pi_mat @ phi) + b * (ref_pi.Pi_mat @ psi)
     assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -97,27 +92,17 @@ def test_norm_matches_randomized_oracle(ref_pi):
     assert best >= ref_pi.norm_Pi * 0.99
 
 
-def test_extension_zero_is_zero(ref_dichotomy, ref_pi):
-    geo = ref_pi.geometry
-    out = build_extension(ref_dichotomy, geo, np.zeros(len(geo.obs_idx)))
-    assert_allclose(out, np.zeros(ref_pi.n))
-
-
 def test_extension_lands_in_stable_subspace(ref_dichotomy, ref_pi):
+    # Pi of the zero lift of observable data keeps the data and lands in X_sigma
     rng = np.random.default_rng(7)
-    geo = ref_pi.geometry
+    obs = list(ref_pi.geometry.obs_idx)
     for _ in range(10):
-        v0 = rng.standard_normal(len(geo.obs_idx))
-        ext = build_extension(ref_dichotomy, geo, v0)
+        v0 = rng.standard_normal(len(obs))
+        lift = np.zeros(ref_pi.n)
+        lift[obs] = v0
+        ext = ref_pi.Pi_mat @ lift
         assert np.linalg.norm(ref_dichotomy.D.T @ ext) < 1e-10
-        assert np.array_equal(ext[list(geo.obs_idx)], v0)
-
-
-def test_lift_norm_is_one():
-    rng = np.random.default_rng(8)
-    v0 = rng.standard_normal(4)
-    lift = lift_observable(9, (1, 3, 5, 7), v0)
-    assert abs(np.linalg.norm(lift) - np.linalg.norm(v0)) < 1e-15
+        assert np.array_equal(ext[obs], v0)
 
 
 def test_geometry_all_observable_is_singular(ref_dichotomy):

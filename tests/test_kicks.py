@@ -9,16 +9,21 @@ from scipy import stats
 
 import kickstab.kicks as kk
 from kickstab.config import config_from_dict
-from kickstab.errors import DegenerateCovariance, RejectionCap
-from kickstab.kicks import (
-    ball_mass,
-    diag_correlation,
-    make_kick_law,
-    qnu_density,
-    sample_kick,
-    sample_kicks,
-    support_ellipsoid_membership,
+from kickstab.density import (
+    build_pi_decomposition,
+    density_batch,
+    projected_law,
+    slice_geometry,
 )
+from kickstab.errors import DegenerateCovariance, RejectionCap
+from kickstab.kicks import ball_mass, make_kick_law, sample_kick, sample_kicks
+from tests.conftest import support_ellipsoid_membership
+
+
+def diag_correlation(n, scale=1.0, power=2.0) -> np.ndarray:
+    """Trace-class diagonal correlation pattern K_jj = scale * j^(-power)."""
+    j = np.arange(1, n + 1, dtype=float)
+    return np.diag(scale * j ** -power)
 
 
 def test_law_validation():
@@ -202,17 +207,21 @@ def test_norm_const_estimate_consistent():
 
 def test_membership_zero_map_is_ball():
     A = np.zeros((2, 2))
-    assert support_ellipsoid_membership(A, 1.0, [0.6, 0.7])
-    assert not support_ellipsoid_membership(A, 1.0, [0.8, 0.7])
+    dec = build_pi_decomposition(A)
+    for x, inside in (([0.6, 0.7], True), ([0.8, 0.7], False)):
+        assert support_ellipsoid_membership(A, 1.0, x) == inside
+        assert (slice_geometry(dec, 1.0, x).classification != "outside") == inside
 
 
 def test_membership_scalar_boundary():
     # scalar map a: boundary at |x| = eps*sqrt(1+a^2)
     a = 2.0
     A = np.array([[a]])
+    M = build_pi_decomposition(A).support_quadform()
     lim = np.sqrt(1 + a ** 2)
-    assert support_ellipsoid_membership(A, 1.0, [lim * (1 - 1e-9)])
-    assert not support_ellipsoid_membership(A, 1.0, [lim * (1 + 1e-9)])
+    for x, inside in (([lim * (1 - 1e-9)], True), ([lim * (1 + 1e-9)], False)):
+        assert support_ellipsoid_membership(A, 1.0, x) == inside
+        assert (float(np.dot(x, M @ x)) <= 1.0) == inside
 
 
 def test_membership_of_projected_samples(ref_pi, ref_law, ref_dichotomy):
@@ -221,11 +230,14 @@ def test_membership_of_projected_samples(ref_pi, ref_law, ref_dichotomy):
     E_unstable = dich.D
     stable = dich.stable_basis
     A_op = stable.T @ ref_pi.Pi_mat @ E_unstable  # X_sigma^perp -> X_sigma, orthonormal coords
+    M = build_pi_decomposition(A_op).support_quadform()
     rng = ref_law.stream(9)
+    radius = ref_law.eps_hat * (1 + 1e-12)
     for _ in range(2000):
         phi = sample_kick(ref_law, rng)
         x = stable.T @ (ref_pi.Pi_mat @ phi)
-        assert support_ellipsoid_membership(A_op, ref_law.eps_hat * (1 + 1e-12), x)
+        assert support_ellipsoid_membership(A_op, radius, x)
+        assert x @ M @ x <= radius ** 2
 
 
 def test_pushforward_covariance(ref_pi, ref_law):
@@ -259,37 +271,38 @@ def test_pushforward_identity_for_test_functions(ref_pi, ref_law):
     assert np.array_equal(np.array(vals1), np.array(vals2))
 
 
+def _m0_density(cov, eps):
+    """The projected law N(0, cov) conditioned on the eps-ball, as an m = 0 slice density."""
+    dec = build_pi_decomposition(np.zeros((len(cov), 0)))
+    plaw = projected_law(cov, eps)
+    return lambda ys: density_batch(dec, plaw, ys), plaw
+
+
 def test_qnu_standard_normal_at_origin():
     law = make_kick_law(np.eye(4), 1.0, seed=1, norm_samples=0)
     Q = np.eye(4)[:, :2]
+    density, _ = _m0_density(Q.T @ law.K @ Q, law.eps_hat)
     c = 1 / ball_mass([1.0, 1.0], 1.0)
-    assert abs(qnu_density(Q, law, [0.0, 0.0]) - c / (2 * np.pi)) < 1e-7
-    assert qnu_density(Q, law, [2.0, 0.0]) == 0.0  # outside the ball
+    assert abs(density([[0.0, 0.0]])[0] - c / (2 * np.pi)) < 1e-7
+    assert density([[2.0, 0.0]])[0] == 0.0  # outside the ball
 
 
 def test_qnu_gaussian_factor_integrates_to_one():
     law = make_kick_law(np.diag([0.5, 0.2, 0.1, 0.05]), 0.8, seed=2, norm_samples=0)
     Q = np.eye(4)[:, :2]
     cov = Q.T @ law.K @ Q
-    c_hat = 1 / ball_mass(np.diag(cov), law.eps_hat)
-    # tensor quadrature of the untruncated gaussian factor over the plane
+    density, plaw = _m0_density(cov, law.eps_hat)
+    # tensor quadrature of the untruncated gaussian factor over the plane:
+    # density / c_hat inside the ball, the plain gaussian outside it
     nodes, weights = np.polynomial.legendre.leggauss(120)
     L = 6 * np.sqrt(np.max(np.diag(cov)))
-    xs = L * nodes
-    total = 0.0
-    for i, x1 in enumerate(xs):
-        for j, x2 in enumerate(xs):
-            y = np.array([x1, x2])
-            val = qnu_density(Q, law, y, c_hat=c_hat)
-            if y @ y <= law.eps_hat ** 2 and val > 0:
-                total += weights[i] * weights[j] * val / c_hat
-            elif y @ y > law.eps_hat ** 2:
-                # outside the ball the density is zero; add back the plain
-                # gaussian factor to close the integral to 1
-                g = np.exp(-0.5 * y @ np.linalg.solve(cov, y)) / (
-                    2 * np.pi * np.sqrt(np.linalg.det(cov)))
-                total += weights[i] * weights[j] * g
-    assert abs(total * L * L - 1.0) < 1e-6
+    ys = np.stack(np.meshgrid(L * nodes, L * nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    w = np.outer(weights, weights).ravel()
+    inside = np.einsum("ij,ij->i", ys, ys) <= law.eps_hat ** 2
+    g = np.exp(-0.5 * np.einsum("ij,ij->i", ys @ np.linalg.inv(cov), ys)) / (
+        2 * np.pi * np.sqrt(np.linalg.det(cov)))
+    vals = np.where(inside, density(ys) / plaw.c_hat, g)
+    assert abs(float(w @ vals) * L * L - 1.0) < 1e-6
 
 
 def test_qnu_truncated_mass_matches_c_hat():
@@ -297,28 +310,28 @@ def test_qnu_truncated_mass_matches_c_hat():
     law = make_kick_law(np.diag([0.3, 0.15, 0.05, 0.4]), 0.7, seed=3, norm_samples=0)
     Q = np.eye(4)[:, :2]
     cov = Q.T @ law.K @ Q
+    density, plaw = _m0_density(cov, law.eps_hat)
     rng = law.stream(12)
     N = 150_000
     z = rng.standard_normal((N, 4)) @ np.linalg.cholesky(law.K).T @ Q
     p_hat = float(np.mean(np.einsum("ij,ij->i", z, z) <= law.eps_hat ** 2))
     se = np.sqrt(p_hat * (1 - p_hat) / N)
     c_hat = 1 / p_hat
-    # polar quadrature of g over the ball
+    # polar quadrature over the ball of g = density / c_hat(exact)
     tq, wq = np.polynomial.legendre.leggauss(200)
     r = 0.5 * law.eps_hat * (tq + 1)
     wr = 0.5 * law.eps_hat * wq
     phis = 2 * np.pi * np.arange(512) / 512
     pts = np.stack([np.outer(r, np.cos(phis)).ravel(), np.outer(r, np.sin(phis)).ravel()], axis=1)
-    g = np.exp(-0.5 * np.einsum("ij,ij->i", pts @ np.linalg.inv(cov), pts)) / (
-        2 * np.pi * np.sqrt(np.linalg.det(cov)))
+    g = density(pts) / plaw.c_hat
     mass = float(np.einsum("i,ij->", wr * r, g.reshape(len(r), len(phis))) * (2 * np.pi / 512))
     assert abs(c_hat * mass - 1.0) <= 2 * se * c_hat
 
 
 def test_qnu_degenerate_covariance():
+    # a near-singular projected covariance has no usable truncated law
     K = np.diag([1.0, 1e-16, 1.0])
-    K[0, 0] = 1.0
     law = make_kick_law(K + 1e-15 * np.eye(3), 0.5, seed=4, norm_samples=0)
     Q = np.eye(3)[:, :2]
     with pytest.raises(DegenerateCovariance):
-        qnu_density(Q, law, [0.0, 0.0])
+        projected_law(Q.T @ law.K @ Q, law.eps_hat)

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kickstab as ks
-from kickstab.errors import ConstructionFailed, SingularA0
-from kickstab.model_builder import OseenModel, build_oseen, synth_stokes_spectrum, verify_relative_bound
+from kickstab.errors import ConstructionFailed
+from kickstab.model_builder import OseenModel, build_oseen, synth_stokes_spectrum
 
 
 def test_zero_remainder_d2_gives_integers():
@@ -66,46 +66,6 @@ def test_build_reports_attempts_on_failure():
         build_oseen(spec, 0.1, 1, 0.1, obs_idx=(3, 4), seed=0, max_attempts=2)
     # each attempt stops after its last weight rejects: one eigensolve apiece
     assert exc.value.attempts == 2
-
-
-def test_verify_relative_bound_identity_case():
-    spec = synth_stokes_spectrum(5, 2, 1.0, 0.0, seed=0)
-    model = build_oseen(spec, 0.0, 0, 0.5, obs_idx=(3, 4), seed=0)
-    assert verify_relative_bound(model) == 0.0
-    # A1 = diag(sqrt(mu)) makes A1 A0^{-1/2} the identity
-    tweaked = OseenModel(
-        n=5, A=model.A0 + np.diag(np.sqrt(spec.mu)), A0=model.A0,
-        A1=np.diag(np.sqrt(spec.mu)), relative_bound_b=1.0,
-        obs_idx=model.obs_idx, spectrum_cache=model.spectrum_cache,
-        spectrum=spec, seed=0)
-    assert abs(verify_relative_bound(tweaked) - 1.0) < 1e-12
-
-
-def test_verify_relative_bound_matches_power_iteration():
-    rng = np.random.default_rng(11)
-    spec = synth_stokes_spectrum(7, 3, 1.1, 0.0, seed=2)
-    A1 = rng.standard_normal((7, 7))
-    model = OseenModel(n=7, A=np.diag(spec.mu) + A1, A0=np.diag(spec.mu), A1=A1,
-                       relative_bound_b=np.nan, obs_idx=(5, 6),
-                       spectrum_cache=(), spectrum=spec, seed=0)
-    # power-iteration oracle on M^T M
-    M = A1 @ np.diag(spec.mu ** -0.5)
-    v = rng.standard_normal(7)
-    for _ in range(3000):
-        v = M.T @ (M @ v)
-        v /= np.linalg.norm(v)
-    oracle = float(np.linalg.norm(M @ v))
-    assert abs(verify_relative_bound(model) - oracle) < 1e-8
-
-
-def test_verify_relative_bound_singular_a0():
-    spec = synth_stokes_spectrum(3, 2, 1.0, 0.0, seed=0)
-    model = build_oseen(spec, 0.0, 0, 0.5, obs_idx=(2,), seed=0)
-    broken = OseenModel(n=3, A=model.A, A0=np.diag([0.0, 2.0, 3.0]), A1=model.A1,
-                        relative_bound_b=0.0, obs_idx=model.obs_idx,
-                        spectrum_cache=model.spectrum_cache, spectrum=spec, seed=0)
-    with pytest.raises(SingularA0):
-        verify_relative_bound(broken)
 
 
 def test_eigenvalues_conjugate_or_real(ref_model):
