@@ -207,11 +207,9 @@ class Pipeline:
                 S_t = S_t @ S_t
             grid[str(t)] = gamma0 if t == tau else contraction_certificate(dich, S_t)[0]
         gammas = tail_contraction(self.ladder(), self.semigroup(tau))
-        # two independent constructions of one projector: sorted real Schur
-        # vs quadrature.  The quadrature builds the model's cached complex
-        # Schur form, so it goes second: the real Schur workspace is freed
-        # before the cached form exists, which keeps the peak memory down
-        P_schur = _spectral_projector_schur(model.A, sigma)
+        # two independent constructions of one projector: ordered real Schur
+        # vs quadrature
+        P_schur = _spectral_projector_schur(model, sigma)
         P_quad = riesz_projector(model, sigma)
         I1, I2 = contour_bound_integrals(model, sigma, tau)
         doc = {

@@ -43,7 +43,7 @@ class ControlSection:
 class KickSection:
     K: str = "diag"                 # "diag" pattern j^-power or "dense"
     power: float = 2.0
-    scale: float | None = None      # None: scale so trace(K) = eps_hat^2
+    scale: float | None = None      # diag only; None: scale so trace(K) = eps_hat^2
     entries: list | None = None     # dense row-major or explicit diagonal
     eps_hat: float | None = None
     seed: int = 7
@@ -187,12 +187,18 @@ def _validate(cfg: ExperimentConfig):
     if k.scale is not None and k.scale <= 0:
         raise ValidationError("kick.scale", "must be positive")
     if k.K == "dense":
+        if k.scale is not None:
+            raise ValidationError("kick.scale", "a dense K is taken as given; drop kick.scale")
         try:   # make_kick_law's own test, an eigensolve
             make_kick_law(cfg.kick_matrix(), k.eps_hat, k.seed)
         except ValueError as exc:   # not symmetric, or not positive definite
             raise ValidationError("kick.entries", str(exc)) from exc
-    elif k.entries is not None and min(k.entries) <= 0:
-        raise ValidationError("kick.entries", "diagonal entries must be positive")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):   # j^-power may overflow
+            diag = np.diag(cfg.kick_matrix())
+        if not np.all(np.isfinite(diag) & (diag > 0)):
+            field = "kick.entries" if k.entries is not None else "kick.power"
+            raise ValidationError(field, "the diagonal of K must be finite and positive")
     if cfg.run.tau <= 0:
         raise ValidationError("run.tau", "must be positive")
     if cfg.run.n_steps < 1:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import ConstructionFailed
-from .spectral import _spectral_norm
+from .spectral import _complex_from_real, _spectral_norm
 
 __all__ = [
     "StokesSpectrum",
@@ -62,9 +62,11 @@ class OseenModel:
 
     obs_idx holds the observable coordinates (0-based); control directions
     live on the complement.  spectrum_cache lists (re, im, multiplicity)
-    records of the dense eigensolve of A.  complex_schur is A's complex
-    Schur form, computed on first read and shared by every spectral routine
-    that works in Schur coordinates.
+    records of the dense eigensolve of A.  real_schur is the one Schur
+    factorization of A: reordered copies of it give ``spectral`` the unstable
+    span D, the nested sigma-ladder subspaces and the Schur projector, and
+    complex_schur, the triangular form of the Riesz quadrature and the
+    contour resolvent norms, is the same form made complex triangular.
     """
 
     n: int
@@ -86,16 +88,19 @@ class OseenModel:
         return self.spectrum.d
 
     @cached_property
-    def complex_schur(self) -> tuple:
-        """(T, Q) with A = Q T Q^H, T upper triangular and Q unitary.
+    def real_schur(self) -> tuple:
+        """(T, Z) with A^T = Z T Z^T, T upper quasi-triangular and Z
+        orthogonal, unsorted; computed once and returned read-only."""
+        T, Z = sla.schur(self.A.T, output="real")
+        T.flags.writeable = Z.flags.writeable = False
+        return T, Z
 
-        Computed once, on first read, and returned read-only: the Riesz
-        quadrature and the contour resolvent norms of ``spectral`` both take
-        their triangular systems from T.
-        """
-        T, Q = sla.schur(self.A, output="complex")
-        T.flags.writeable = False
-        Q.flags.writeable = False
+    @cached_property
+    def complex_schur(self) -> tuple:
+        """(T, Q) with A = Q T Q^H, T upper triangular and Q unitary, derived
+        from ``real_schur``; computed once and returned read-only."""
+        T, Q = _complex_from_real(*self.real_schur)
+        T.flags.writeable = Q.flags.writeable = False
         return T, Q
 
     def eigvals(self) -> np.ndarray:
@@ -119,33 +124,6 @@ class OseenModel:
             "relative_bound_b": self.relative_bound_b,
         }
         return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "OseenModel":
-        doc = json.loads(text)
-        n = doc["n"]
-        spec = StokesSpectrum(
-            n=n,
-            d=doc["d"],
-            beta0=doc["beta0"],
-            mu=np.array(doc["mu"]),
-            remainder_scale=doc["remainder_scale"],
-            seed=doc["spectrum_seed"],
-        )
-        A = np.array(doc["A"]).reshape(n, n)
-        A0 = np.diag(spec.mu)
-        A1 = A - A0
-        return OseenModel(
-            n=n,
-            A=A,
-            A0=A0,
-            A1=A1,
-            relative_bound_b=doc["relative_bound_b"],
-            obs_idx=tuple(doc["obs_idx"]),
-            spectrum_cache=_spectrum_cache(np.linalg.eigvals(A)),
-            spectrum=spec,
-            seed=doc["seed"],
-        )
 
 
 def synth_stokes_spectrum(n, d, beta0, remainder_scale, seed) -> StokesSpectrum:

@@ -1,43 +1,40 @@
 """Spectral dichotomy at a level sigma, Riesz projectors, and contraction.
 
-The splitting works with the adjoint unstable basis d_1..d_m: orthonormal
-Schur vectors of A^T spanning its invariant subspace for the eigenvalues
-with Re < sigma, read off one ordered real Schur form (``_ordered_schur``),
-defective or not.  X_sigma is the orthogonal complement of span{d_j}; it is
-invariant under S(tau) = e^{-A tau} and the restricted operator norm there
-is the contraction constant gamma_0.
+A is factored once per model.  ``OseenModel.real_schur`` holds the unsorted
+real Schur form A^T = Z T Z^T (a bare matrix gets a fresh one), and every
+Schur-based routine derives from it with no new factorization:
+  - ``_ordered_schur`` reorders a copy by LAPACK trsen, at the top level and
+    then each leading block at the next lower level (Bai & Demmel, Linear
+    Algebra Appl. 186, 1993).  Its first m columns are the adjoint unstable
+    basis D of ``eig_split``, spanning the invariant subspace of A^T for the
+    eigenvalues with Re < sigma, defective or not; its nested prefixes are
+    the subspaces of the ``sigma_ladder``.
+  - ``_spectral_projector_schur`` solves one triangular Sylvester equation
+    (trsyl) on the sigma-ordered form for the projector that certify checks
+    the quadrature projector ``riesz_projector`` against.
+  - ``OseenModel.complex_schur``, the form flipped and made complex
+    triangular by ``rsf2csf``, carries the Riesz quadrature (one triangular
+    inverse per node of a fixed _RIESZ_NODES-node rule on a rectangle) and
+    the contour resolvent norms.
+X_sigma is the orthogonal complement of span D; it is invariant under
+S(tau) = e^{-A tau} and the restricted operator norm there is the
+contraction constant gamma_0.  Eigenvalues come from the model's
+``spectrum_cache``; a bare matrix gets a dense eigensolve.
 
 S(tau) is formed only by ``semigroup``, by scaling and squaring (``expm``);
 callers build it once per tau and pass it to the contraction constants.
-certify checks the quadrature projector ``riesz_projector`` against the
-sorted real Schur one.  The quadrature uses a fixed _RIESZ_NODES-node rule
-on a rectangle and runs in complex Schur coordinates, one triangular
-inverse per node.
 
 The contour bounds (I1, I2) of ``contour_bound_integrals`` bound S(tau) on
 X_sigma by a Dunford integral of the resolvent norm along a shifted sector
-(Pazy, Semigroups of Linear Operators, 1983, Sec. 2.5).  Both use fixed
-32-node Gauss-Legendre rules: I1 on the vertical segment, evaluated at its
-16 positive nodes only because the integrand is even for real A; I2 in the
-variable u = e^{-|cos psi| tau (gamma - g0)} on each ray from g0.  Each of
-the 48 nodes needs one resolvent norm 1/sigma_min(lambda I + A).  As in the
-computation of pseudospectra (Trefethen, Computation of pseudospectra, Acta
-Numerica 8, 1999), sigma_min is read off the complex Schur form
-A = Q T Q^H: it equals sigma_min(lambda I + T), which inverse Lanczos finds
-with triangular solves, O(n^2) per step, instead of a dense SVD.  Against
-adaptive quadrature (``scipy.integrate.quad``) I1 agrees within 3.1e-11
-relative and I2 within 2.2e-5 at n = 20 (tau in {1, 2, 4, 8}) and 5.2e-5 at
-n = 400 (tau = 2).
-
-Functions that take an ``OseenModel`` read its eigenvalues from the
-model's ``spectrum_cache`` and its complex Schur form from the model's
-``complex_schur``, so one form serves the Riesz quadrature and the contour
-bounds; a bare matrix gets a dense eigensolve and its own Schur form.
+(Pazy, Semigroups of Linear Operators, 1983, Sec. 2.5), by fixed 32-node
+Gauss-Legendre rules.  Each of the 48 nodes needs one resolvent norm
+1/sigma_min(lambda I + A) = 1/sigma_min(lambda I + T), which inverse Lanczos
+finds with triangular solves, as in the computation of pseudospectra
+(Trefethen, Acta Numerica 8, 1999).
 
 A ladder of higher levels sigma_1 < ... < sigma_K, one per segment
 Delta_k = [e^{2k/d}, e^{2(k+1)/d}], carries the tail-contraction constants
-gamma_k used by the ergodicity hypotheses.  The same Schur form, re-sorted
-at each lower level, gives every nested subspace of the ladder at once.
+gamma_k used by the ergodicity hypotheses.
 """
 
 from __future__ import annotations
@@ -80,11 +77,24 @@ def _eigvals(model_or_A) -> np.ndarray:
     return np.linalg.eigvals(_as_matrix(model_or_A))
 
 
+def _real_schur(model_or_A) -> tuple:
+    """(T, Z) with A^T = Z T Z^T: an OseenModel's cached form, else a fresh one."""
+    if hasattr(model_or_A, "real_schur"):
+        return model_or_A.real_schur
+    return sla.schur(_as_matrix(model_or_A).T, output="real")
+
+
+def _complex_from_real(T, Z) -> tuple:
+    """(T_c, Q) with A = Q T_c Q^H from A^T = Z T Z^T: with J the reversal,
+    A = (Z J)(J T^T J)(Z J)^T, and ``rsf2csf`` makes J T^T J triangular."""
+    return sla.rsf2csf(T.T[::-1, ::-1], Z[:, ::-1])
+
+
 def _complex_schur(model_or_A) -> tuple:
     """(T, Q) with A = Q T Q^H: an OseenModel's cached form, else a fresh one."""
     if hasattr(model_or_A, "complex_schur"):
         return model_or_A.complex_schur
-    return sla.schur(_as_matrix(model_or_A), output="complex")
+    return _complex_from_real(*_real_schur(model_or_A))
 
 
 def _spectral_norm(M) -> float:
@@ -119,27 +129,37 @@ class Dichotomy:
         }
 
 
-def _ordered_schur(A, levels):
-    """Orthogonal Z and counts with nested adjoint invariant subspaces.
+def _reorder(T, Q, level):
+    """(T, Q, k): LAPACK trsen moves the k eigenvalues of the real Schur form T
+    with Re < level to its leading block, and rotates Q along."""
+    T, Q, _, _, k, _, _, info = sla.lapack.dtrsen(np.diag(T) < level, T, Q, job="N")
+    if info:
+        raise np.linalg.LinAlgError("eigenvalues could not be separated for reordering")
+    return T, Q, k
+
+
+def _ordered_schur(model_or_A, levels):
+    """(T, Z, counts): A^T = Z T Z^T with nested adjoint invariant subspaces.
 
     For ascending levels, the first counts[i] columns of Z span the invariant
-    subspace of A^T for the eigenvalues with Re < levels[i].  One real Schur
-    form of A^T is sorted at the top level, and each leading block is then
-    re-sorted at the next lower level, which keeps every higher prefix's span
-    (Bai & Demmel, Linear Algebra Appl. 186, 1993).  Each column is signed
-    so that its largest-magnitude entry is positive.
+    subspace of A^T for the eigenvalues with Re < levels[i].  ``_real_schur``
+    is reordered at the top level, then each leading block at the next lower
+    level, its orthogonal factor applied to the block's rows of T and columns
+    of Z, which keeps every higher prefix's span.  Each column of Z is signed
+    so that its largest-magnitude entry is positive, and T to match.
     """
-    T, Z, k = sla.schur(A.T, output="real", sort=lambda re, im: re < levels[-1])
+    T, Z = _real_schur(model_or_A)
+    T, Z, k = _reorder(T, Z, levels[-1])
     counts = [k]
     for level in reversed(levels[:-1]):
         if k:
-            T, Q, k_next = sla.schur(T[:k, :k], output="real",
-                                     sort=lambda re, im: re < level)
+            Tk, Q, k_next = _reorder(T[:k, :k], np.eye(k), level)
+            T[:k, :k], T[:k, k:] = Tk, Q.T @ T[:k, k:]
             Z[:, :k] = Z[:, :k] @ Q
             k = k_next
         counts.append(k)
-    lead = Z[np.argmax(np.abs(Z), axis=0), np.arange(Z.shape[1])]
-    return Z * np.sign(lead), counts[::-1]
+    s = np.sign(Z[np.argmax(np.abs(Z), axis=0), np.arange(Z.shape[1])])
+    return s[:, None] * T * s, Z * s, counts[::-1]
 
 
 def _complement_basis(Q):
@@ -153,20 +173,17 @@ def _complement_basis(Q):
     return U[:, m:]
 
 
-def _spectral_projector_schur(A, sigma):
-    """Riesz projector onto modes with Re < sigma, via sorted real Schur form."""
-    n = A.shape[0]
-    T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re < sigma)
-    if sdim == 0:
-        return np.zeros((n, n))
-    if sdim == n:
-        return np.eye(n)
-    T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
-    Y = sla.solve_sylvester(T11, -T22, T12)
-    P_T = np.zeros((n, n))
-    P_T[:sdim, :sdim] = np.eye(sdim)
-    P_T[:sdim, sdim:] = Y
-    return Z @ P_T @ Z.T
+def _spectral_projector_schur(model_or_A, sigma):
+    """Riesz projector of A onto modes with Re < sigma: with A^T = Z T Z^T
+    ordered at sigma and T11 Y - Y T22 = T12 solved by LAPACK trsyl, the
+    projector of A^T is Z1 (Z1^T + Y Z2^T), and that of A its transpose."""
+    T, Z, (m,) = _ordered_schur(model_or_A, [sigma])
+    Y = np.zeros((m, T.shape[0] - m))
+    if Y.size:
+        Y, scale, _ = sla.lapack.dtrsyl(T[:m, :m], T[m:, m:], T[:m, m:], isgn=-1)
+        Y /= scale
+    Z1, Z2 = Z[:, :m], Z[:, m:]
+    return (Z1 @ (Z1.T + Y @ Z2.T)).T
 
 
 def eig_split(model, sigma, gap_tol=1e-6) -> Dichotomy:
@@ -175,12 +192,11 @@ def eig_split(model, sigma, gap_tol=1e-6) -> Dichotomy:
     Raises GapViolation when an eigenvalue real part lies within gap_tol of
     sigma.
     """
-    A = _as_matrix(model)
     ev = _eigvals(model)
     gap = float(np.min(np.abs(ev.real - sigma))) if ev.size else np.inf
     if gap < gap_tol:
         raise GapViolation(f"eigenvalue real part within {gap_tol} of sigma={sigma} (gap={gap:.3e})")
-    Z, (m,) = _ordered_schur(A, [sigma])
+    _, Z, (m,) = _ordered_schur(model, [sigma])
     D = Z[:, :m]
     return Dichotomy(sigma=float(sigma), m=m, D=D, gap=gap,
                      stable_basis=_complement_basis(D))
@@ -445,7 +461,6 @@ def sigma_ladder(model, sigma, K, gap_tol=1e-6, grid_points=1024) -> SigmaLadder
     Raises EmptyGap when every grid point of some segment is within gap_tol
     of the spectrum.
     """
-    A = _as_matrix(model)
     d = getattr(model, "d", 2)
     ev_re = _eigvals(model).real
     sigma_list, gaps = [], []
@@ -463,7 +478,7 @@ def sigma_ladder(model, sigma, K, gap_tol=1e-6, grid_points=1024) -> SigmaLadder
         gaps.append(float(dist[best]))
     if sigma_list[0] <= sigma:
         raise ValueError("sigma must lie below the first ladder segment")
-    Z, (m, *n_list) = _ordered_schur(A, [sigma, *sigma_list])
+    _, Z, (m, *n_list) = _ordered_schur(model, [sigma, *sigma_list])
     return SigmaLadder(sigma=float(sigma), sigma_list=tuple(sigma_list),
                        n_list=tuple(n_list), m=m, E_all=Z[:, :n_list[-1]],
                        completion=Z, gaps=tuple(gaps))

@@ -74,7 +74,7 @@ def test_mixing_section_validated(field, value):
 
 _DENSE = {"kick": {"K": "dense"}}
 _EXPLICIT = {"density": {"alpha_source": "explicit"}}
-_ASYMMETRIC, _INDEFINITE = np.eye(20), np.eye(20)
+_ASYMMETRIC, _INDEFINITE, _SPD = np.eye(20), np.eye(20), 0.01 * np.eye(20)
 _ASYMMETRIC[0, 1] = 0.5
 _INDEFINITE[0, 0] = -1.0
 
@@ -101,11 +101,15 @@ def _case(field, value, others=None, name=None):
     _case("density.alpha", [1.0, 2.0, 3.0], {"density": {"alpha_source": "explicit",
                                                           "alpha_shape": [2, 2]}},
           name="density.alpha-size_not_shape"),
-    _case("density.alpha", [1.0, 2.0], _EXPLICIT, name="density.alpha-flat_no_shape")])
+    _case("density.alpha", [1.0, 2.0], _EXPLICIT, name="density.alpha-flat_no_shape"),
+    _case("kick.power", 800), _case("kick.power", 2000), _case("kick.power", -2000),
+    _case("kick.scale", 50.0, {"kick": {"K": "dense", "entries": _SPD.ravel().tolist()}},
+          name="kick.scale-dense")])
 def test_crashing_values_rejected_at_load(field, value, others):
     # each of these once passed validation and then crashed a stage with an
     # IndexError, ValueError, ZeroDivisionError or LinAlgError (or, for
-    # density.level = 0, silently read the top ladder level)
+    # density.level = 0, silently read the top ladder level, and for a dense
+    # K, silently ignored kick.scale)
     doc = {"kick": {"eps_hat": 0.01}}
     for sec, vals in others.items():
         doc.setdefault(sec, {}).update(vals)
@@ -283,9 +287,11 @@ def test_squared_semigroup_is_expm_bit_for_bit(tmp_path, ref_model, ref_dichotom
         assert grid[str(t)] == contraction_certificate(ref_dichotomy, S)[0]
 
 
-def test_certify_takes_one_complex_schur_and_no_complex_svd(tmp_path, monkeypatch):
-    # one complex Schur form per model serves the Riesz quadrature and the
-    # contour resolvent norms; no node takes a dense complex SVD
+def test_certify_factors_A_once(tmp_path, monkeypatch):
+    # one real Schur form of A^T per model serves the dichotomy, the ladder,
+    # the Schur projector, the Riesz quadrature and the contour resolvent
+    # norms: no complex Schur form, no Sylvester solver that factors again,
+    # and no node takes a dense complex SVD
     import scipy.linalg
 
     path = os.path.join(tmp_path, "config.json")
@@ -294,13 +300,18 @@ def test_certify_takes_one_complex_schur_and_no_complex_svd(tmp_path, monkeypatc
     out = os.path.join(tmp_path, "out")
     for stage in ("synth", "dichotomy"):
         assert main([stage, "--config", path, "--out", out]) == 0
-    real_schur, real_svd = scipy.linalg.schur, np.linalg.svd
-    schurs, svds = [], []
+    real_schur, real_sylvester, real_svd = (scipy.linalg.schur, scipy.linalg.solve_sylvester,
+                                            np.linalg.svd)
+    schurs, sylvesters, svds = [], [], []
 
     def counting_schur(a, *args, **kwargs):
-        if kwargs.get("output", args[0] if args else "real") == "complex":
-            schurs.append(np.shape(a))
+        output = kwargs.get("output", args[0] if args else "real")
+        schurs.append((output, np.shape(a), np.iscomplexobj(a)))
         return real_schur(a, *args, **kwargs)
+
+    def counting_sylvester(*args, **kwargs):
+        sylvesters.append(len(args))
+        return real_sylvester(*args, **kwargs)
 
     def counting_svd(a, *args, **kwargs):
         if np.iscomplexobj(a):
@@ -308,10 +319,12 @@ def test_certify_takes_one_complex_schur_and_no_complex_svd(tmp_path, monkeypatc
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", counting_sylvester)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert main(["certify", "--config", path, "--out", out]) == 0
     n = load_config(path).model.n
-    assert schurs == [(n, n)]
+    assert schurs == [("real", (n, n), False)]
+    assert sylvesters == []
     assert svds == []
 
 

@@ -1,12 +1,14 @@
 """Model construction: spectrum law, relative bound, unstable count."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import kickstab as ks
 from kickstab.errors import ConstructionFailed
-from kickstab.model_builder import OseenModel, build_oseen, synth_stokes_spectrum
+from kickstab.model_builder import build_oseen, synth_stokes_spectrum
 
 
 def test_zero_remainder_d2_gives_integers():
@@ -88,11 +90,14 @@ def test_spectrum_cache_matches_dense_eigensolve(ref_model):
 
 
 def test_json_roundtrip(ref_model):
-    text = ref_model.to_json()
-    back = OseenModel.from_json(text)
-    assert np.array_equal(back.A, ref_model.A)
-    assert back.obs_idx == ref_model.obs_idx
-    assert back.to_json() == text
+    # model.json holds the operator exactly: shortest-repr floats read back bit for bit
+    doc = json.loads(ref_model.to_json())
+    n = ref_model.n
+    assert doc["n"] == n
+    assert np.array_equal(np.array(doc["A"]).reshape(n, n), ref_model.A)
+    assert np.array_equal(np.array(doc["mu"]), ref_model.mu)
+    assert tuple(doc["obs_idx"]) == ref_model.obs_idx
+    assert (doc["seed"], doc["spectrum_seed"]) == (ref_model.seed, ref_model.spectrum.seed)
 
 
 # -- bisection over the blend-weight grid ------------------------------------------

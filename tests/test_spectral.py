@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import expm, schur, solve_sylvester
 
 import kickstab.spectral as sp
 from kickstab.errors import ContourTouchesSpectrum, EmptyGap, GapViolation, InvalidContour
@@ -19,6 +19,7 @@ from kickstab.spectral import (
     sigma_ladder,
     tail_contraction,
 )
+from kickstab.config import config_from_dict
 from kickstab.model_builder import build_oseen, synth_stokes_spectrum
 from tests.conftest import REF
 
@@ -113,6 +114,121 @@ def test_split_coupled_pair_orthonormal():
     assert np.linalg.norm(d.D.T @ d.D - np.eye(2)) <= 1e-13
     # span D is invariant under A^T
     assert np.linalg.norm(_stable_projector(d) @ A.T @ d.D) < 1e-12
+
+
+# -- the one real Schur form against sorted Schur forms ---------------------
+
+def _reference_ordered_schur(A, levels):
+    """(Z, counts) by sorted Schur forms: A^T sorted at the top level, then
+    each leading block sorted again at the next lower level."""
+    T, Z, k = schur(A.T, output="real", sort=lambda re, im: re < levels[-1])
+    counts = [k]
+    for level in reversed(levels[:-1]):
+        if k:
+            T, Q, k_next = schur(T[:k, :k], output="real", sort=lambda re, im: re < level)
+            Z[:, :k] = Z[:, :k] @ Q
+            k = k_next
+        counts.append(k)
+    lead = Z[np.argmax(np.abs(Z), axis=0), np.arange(Z.shape[1])]
+    return Z * np.sign(lead), counts[::-1]
+
+
+def _reference_projector(A, sigma):
+    """Riesz projector of A onto Re < sigma by a sorted Schur form of A and a
+    Sylvester solve."""
+    n = A.shape[0]
+    T, Z, sdim = schur(A, output="real", sort=lambda re, im: re < sigma)
+    if sdim == 0:
+        return np.zeros((n, n))
+    if sdim == n:
+        return np.eye(n)
+    Y = solve_sylvester(T[:sdim, :sdim], -T[sdim:, sdim:], T[:sdim, sdim:])
+    P_T = np.zeros((n, n))
+    P_T[:sdim, :sdim] = np.eye(sdim)
+    P_T[:sdim, sdim:] = Y
+    return Z @ P_T @ Z.T
+
+
+def _schur_case(name, request):
+    """(model or shim, sigma) for the four reference cases of the Schur core."""
+    if name == "reference":
+        return request.getfixturevalue("ref_model"), REF["sigma"]
+    if name == "density_m2":
+        m = config_from_dict({"model": {"n_unstable": 2, "b": 2.0, "spectrum_seed": 18},
+                              "kick": {"eps_hat": 0.01}}).model
+        spec = synth_stokes_spectrum(m.n, m.d, m.beta0, m.remainder_scale, m.spectrum_seed)
+        return build_oseen(spec, m.b, m.n_unstable, m.build_sigma, m.obs_idx, m.seed,
+                           gap_tol=m.build_gap_tol), m.sigma
+    if name == "jordan":
+        A = np.diag([10.0, 4.0, 4.0, -0.5, 30.0, 60.0])
+        A[1, 2] = 1.0
+        return SimpleNamespace(A=A, d=2), 0.5
+    # no eigenvalue below sigma; complex pairs among the rest
+    rng = np.random.default_rng(6)
+    A = np.diag(np.linspace(1.0, 9.0, 8)) + 0.8 * rng.standard_normal((8, 8))
+    assert np.linalg.eigvals(A).real.min() > 0.5
+    return SimpleNamespace(A=A, d=2), 0.5
+
+
+_SCHUR_CASES = ("reference", "density_m2", "jordan", "m0")
+
+
+@pytest.mark.parametrize("name", _SCHUR_CASES)
+def test_ordered_schur_matches_sorted_schur_bit_for_bit(name, request):
+    # trsen on the one unsorted form is what a sorted gees runs after its
+    # unsorted Schur form, so D and the ladder frame keep every bit
+    model, sigma = _schur_case(name, request)
+    d = eig_split(model, sigma)
+    Z, (m,) = _reference_ordered_schur(model.A, [sigma])
+    assert d.m == m and np.array_equal(d.D, Z[:, :m])
+    ladder = sigma_ladder(model, sigma, 3)
+    Z, (m, *n_list) = _reference_ordered_schur(model.A, [sigma, *ladder.sigma_list])
+    assert (ladder.m, ladder.n_list) == (m, tuple(n_list))
+    assert np.array_equal(ladder.completion, Z)
+    if name == "m0":
+        assert m == 0
+
+
+def test_ordered_schur_keeps_the_schur_form():
+    # a Schur diagonal in descending order: every level moves a block, and
+    # the reordered T stays the Schur form of A^T in the reordered Z
+    rng = np.random.default_rng(7)
+    A = (np.diag([9.0, 7.0, 5.0, 3.0, 1.0, -1.0]) + np.triu(rng.standard_normal((6, 6)), 1)).T
+    T, Z, counts = sp._ordered_schur(A, [0.0, 2.0, 4.0, 6.0, 8.0])
+    assert counts == [1, 2, 3, 4, 5]
+    assert not np.any(np.tril(T, -1))
+    assert_allclose(np.diag(T), [-1.0, 1.0, 3.0, 5.0, 7.0, 9.0], atol=1e-12)
+    assert np.linalg.norm(A.T - Z @ T @ Z.T) < 1e-13 * np.linalg.norm(A)
+
+
+@pytest.mark.parametrize("name", _SCHUR_CASES)
+def test_schur_projector_matches_sylvester_reference(name, request):
+    model, sigma = _schur_case(name, request)
+    ev_re = np.linalg.eigvals(model.A).real
+    # sigma itself, then below and above the whole spectrum (sdim = 0 and n)
+    for level in (sigma, ev_re.min() - 1.0, ev_re.max() + 1.0):
+        P = sp._spectral_projector_schur(model, level)
+        P_ref = _reference_projector(model.A, level)
+        assert np.linalg.norm(P - P_ref) <= 1e-12 * max(1.0, np.linalg.norm(P_ref))
+
+
+@pytest.mark.parametrize("name", _SCHUR_CASES)
+def test_complex_schur_backward_error(name, request):
+    model, _ = _schur_case(name, request)
+    T, Q = sp._complex_schur(model)
+    A = model.A
+    n = A.shape[0]
+    assert not np.any(np.tril(T, -1))
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) < 1e-13
+    assert np.linalg.norm(A - Q @ T @ Q.conj().T) < 1e-13 * np.linalg.norm(A)
+
+
+def test_model_schur_forms_cached_read_only(ref_model, ref_dichotomy, ref_ladder):
+    T, Z = ref_model.real_schur
+    assert ref_model.real_schur[0] is T
+    assert np.linalg.norm(ref_model.A.T - Z @ T @ Z.T) < 1e-13 * np.linalg.norm(ref_model.A)
+    for a in (*ref_model.real_schur, *ref_model.complex_schur):
+        assert not a.flags.writeable
 
 
 # -- riesz_projector -------------------------------------------------------
