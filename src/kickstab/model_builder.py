@@ -58,7 +58,7 @@ class StokesSpectrum:
 
 @dataclass(frozen=True)
 class OseenModel:
-    """Real n x n operator A = A0 + A1 in an orthonormal Stokes eigenbasis.
+    """Real n x n operator A = A0 + A1, A0 = diag(mu), in a Stokes eigenbasis.
 
     obs_idx holds the observable coordinates (0-based); control directions
     live on the complement.  spectrum_cache lists (re, im, multiplicity)
@@ -71,8 +71,6 @@ class OseenModel:
 
     n: int
     A: np.ndarray
-    A0: np.ndarray
-    A1: np.ndarray
     relative_bound_b: float
     obs_idx: tuple
     spectrum_cache: tuple
@@ -205,7 +203,7 @@ def build_oseen(spec, b, n_unstable, sigma, obs_idx, seed,
 
     def finish(A1, ev):
         return OseenModel(
-            n=n, A=A0 + A1, A0=A0, A1=A1,
+            n=n, A=A0 + A1,
             relative_bound_b=float(b),
             obs_idx=obs_idx,
             spectrum_cache=_spectrum_cache(ev),

@@ -86,8 +86,10 @@ def _real_schur(model_or_A) -> tuple:
 
 def _complex_from_real(T, Z) -> tuple:
     """(T_c, Q) with A = Q T_c Q^H from A^T = Z T Z^T: with J the reversal,
-    A = (Z J)(J T^T J)(Z J)^T, and ``rsf2csf`` makes J T^T J triangular."""
-    return sla.rsf2csf(T.T[::-1, ::-1], Z[:, ::-1])
+    A = (Z J)(J T^T J)(Z J)^T, and ``rsf2csf`` makes J T^T J triangular.
+    T_c is returned in Fortran order, the layout LAPACK's trtri works in."""
+    T_c, Q = sla.rsf2csf(T.T[::-1, ::-1], Z[:, ::-1])
+    return np.asfortranarray(T_c), Q
 
 
 def _complex_schur(model_or_A) -> tuple:
