@@ -1,44 +1,45 @@
-"""The controlled kicked process w^{k+1} = S w^k + Pi phi^{k+1}.
+"""The controlled kicked process w^{k+1} = S(tau) w^k + Pi phi^{k+1} on X_sigma.
 
-Every trajectory is stepped by one kernel, ``propagate``: a chain's kicks
-are drawn in one ``sample_kicks`` call on its own stream, pushed through
-Pi once, and a block of chains is stepped together.  Every controlled chain
-steps in X_sigma coordinates c = U^T w, U the stable basis
-(``controlled_states``), so roundoff has no component along the unstable
-mode to amplify, however long the run.
+Every controlled chain steps in X_sigma coordinates c = U^T w by the
+``spectral.StableStep`` T = e^{-tau A_sigma}, the restriction of S(tau) to
+X_sigma formed from its own generator: c^{k+1} = T c^k + U^T Pi phi^{k+1}.
+Nothing in T grows, so roundoff has no unstable component to amplify,
+however long the run.  One kernel, ``propagate``, steps every trajectory:
+a chain's kicks are drawn in one ``sample_kicks`` call on its own stream,
+pushed through U^T Pi once, and a block of chains is stepped together.
 
 A single chain, ``run_chain``, returns its (n_steps+1, n) states, drawn on
 the one stream SeedSequence(seed).  A call's kicks are a prefix of a longer
 call's on the same stream (``kicks.sample_kicks``), so a k-step chain is
 the first k steps of a longer one, up to roundoff: the kicks are pushed
-through Pi, and the states mapped back from X_sigma coordinates, in one
-product over all steps, which BLAS can round differently with the number
-of rows.  At n = 20, chains of 100 and 200 steps agree bit for bit.
+through U^T Pi, and the states mapped back by U, in one product over all
+steps, which BLAS can round differently with the number of rows.  At
+n = 20, chains of 100 and 200 steps agree bit for bit.
 
 An ensemble is stepped in bounded blocks of whole chains by
 ``ensemble_blocks``: one ``run_ensemble`` call per block of at most
-BLOCK_ENTRIES state entries, each block yielded to its caller to reduce
-before the next is stepped.  Only this module knows the block size.  Chain
-c always draws on child c of the ensemble's seed, so its kicks do not
-depend on the block size.  Its states can, in the last bits only: the step
-product is one BLAS product over the block's chains, and BLAS picks its
-kernels and thread split by shape, so a row can round differently with the
-number of rows (a one-chain block takes the matrix-vector path).  At
-n = 20, blocks of 8 or more chains match one block bit for bit.
+BLOCK_ENTRIES ambient state entries, each block yielded to its caller to
+reduce before the next is stepped.  Only this module knows the block size.
+Chain c always draws on child c of the ensemble's seed, so its kicks do not
+depend on the block size.  Its states can, in the last bits only: BLAS
+picks its kernels and thread split by shape, so a row of the step product
+can round differently with the number of rows (a one-chain block takes the
+matrix-vector path).  At n = 20, blocks of 8 or more chains match one
+block bit for bit.
 
-Also provides the uncontrolled blow-up demonstration (no projection, full
-space) and the per-trajectory envelope certificate
-||w^k|| <= gamma0^k ||w0|| + ||Pi|| eps_hat / (1 - gamma0), which is provable
-for the measured restricted norm gamma0 and therefore admits zero
-violations beyond float roundoff.
+Also provides the uncontrolled blow-up demonstration, the one user of the
+growing S(tau) = e^{-tau A}, and the envelope certificate ||w^k|| <=
+gamma0^k ||w0|| + ||Pi|| eps_hat / (1 - gamma0) for gamma0 = ||T||_2, which
+is provable and so admits no violation beyond float roundoff.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotUnstable
+from .errors import BlowupOverflow, NotUnstable
 from .kicks import sample_kicks
+from .spectral import _eigvals, semigroup
 
 __all__ = [
     "propagate",
@@ -55,8 +56,8 @@ __all__ = [
 BLOCK_ENTRIES = 1 << 20    # state entries (chains x (steps+1) x n) of one ensemble block
 
 
-def propagate(S_mat, B, w0, kicks) -> np.ndarray:
-    """States of w^{k+1} = S w^k + B phi^{k+1} from w0, for a block of chains.
+def propagate(M, B, w0, kicks) -> np.ndarray:
+    """States of w^{k+1} = M w^k + B phi^{k+1} from w0, for a block of chains.
 
     kicks has shape (..., steps, d) and w0 broadcasts to (..., n); the
     result has shape (..., steps+1, n).  The kicks are pushed through B in
@@ -64,37 +65,37 @@ def propagate(S_mat, B, w0, kicks) -> np.ndarray:
     """
     kicks = np.asarray(kicks, dtype=float)
     steps = kicks.shape[-2]
-    states = np.empty(kicks.shape[:-2] + (steps + 1, S_mat.shape[0]))
+    states = np.empty(kicks.shape[:-2] + (steps + 1, M.shape[0]))
     states[..., 0, :] = w0
     np.matmul(kicks, B.T, out=states[..., 1:, :])
-    ST = S_mat.T
+    MT = M.T
     for k in range(steps):
-        states[..., k + 1, :] += states[..., k, :] @ ST
+        states[..., k + 1, :] += states[..., k, :] @ MT
     return states
 
 
-def controlled_states(S_mat, pi, w0, kicks) -> np.ndarray:
-    """``propagate`` for the controlled chain, stepped in X_sigma coordinates.
+def controlled_states(step, pi, w0, kicks) -> np.ndarray:
+    """``propagate`` for the controlled chain: ambient states, stepped by T in X_sigma.
 
     Raises ValueError unless w0 lies in X_sigma: ||D^T w0|| < 1e-10 max(1, ||w0||).
     """
     w0 = np.asarray(w0, dtype=float)
-    D, U = pi.dichotomy.D, pi.dichotomy.stable_basis
+    D, U = pi.dichotomy.D, step.U
     if D.size and np.linalg.norm(D.T @ w0) >= 1e-10 * max(1.0, np.linalg.norm(w0)):
         raise ValueError("w0 must lie in X_sigma (adjoint residual too large)")
-    c = propagate(U.T @ S_mat @ U, U.T @ pi.Pi_mat, w0 @ U, kicks)
+    c = propagate(step.T, U.T @ pi.Pi_mat, w0 @ U, kicks)
     del kicks   # run_ensemble passes its kicks inline: free them before w = U c
     return c @ U.T
 
 
-def run_chain(S_mat, pi, law, w0, n_steps, seed) -> np.ndarray:
+def run_chain(step, pi, law, w0, n_steps, seed) -> np.ndarray:
     """States (n_steps+1, n) of one controlled chain from w0 (must lie in X_sigma).
 
     Its n_steps kicks are one ``sample_kicks`` call on the stream
     SeedSequence(seed).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return controlled_states(S_mat, pi, w0, sample_kicks(law, rng, n_steps))
+    return controlled_states(step, pi, w0, sample_kicks(law, rng, n_steps))
 
 
 def _streams(seed, n_chains):
@@ -102,7 +103,7 @@ def _streams(seed, n_chains):
     return ss.spawn(n_chains)
 
 
-def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
+def run_ensemble(step, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
     """States of n_chains independent trajectories, shape (chains, steps+1, n).
 
     Chain c draws its n_steps kicks in one ``sample_kicks`` call on a
@@ -120,11 +121,11 @@ def run_ensemble(S_mat, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
         streams = seed
     else:
         streams = _streams(seed, n_chains)
-    return controlled_states(S_mat, pi, w0, np.stack(
+    return controlled_states(step, pi, w0, np.stack(
         [sample_kicks(law, np.random.default_rng(s), n_steps) for s in streams]))
 
 
-def ensemble_blocks(S_mat, pi, law, w0, n_chains, n_steps, seed):
+def ensemble_blocks(step, pi, law, w0, n_chains, n_steps, seed):
     """The chains of run_ensemble(..., n_chains, n_steps, seed), block by block.
 
     Splits the children of ``seed`` (an int or a SeedSequence) in chain
@@ -134,10 +135,10 @@ def ensemble_blocks(S_mat, pi, law, w0, n_chains, n_steps, seed):
     (module docstring).
     """
     streams = _streams(seed, n_chains)
-    size = max(1, BLOCK_ENTRIES // ((n_steps + 1) * S_mat.shape[0]))
+    size = max(1, BLOCK_ENTRIES // ((n_steps + 1) * step.U.shape[0]))
     for lo in range(0, n_chains, size):
         block = streams[lo:lo + size]
-        yield run_ensemble(S_mat, pi, law, w0, len(block), n_steps, block)
+        yield run_ensemble(step, pi, law, w0, len(block), n_steps, block)
 
 
 def envelope_bound(n_steps, w0_norm, gamma0, norm_Pi, eps_hat) -> np.ndarray:
@@ -178,19 +179,22 @@ def fit_log_growth(norms, tail_frac=0.5) -> float:
     return float(slope)
 
 
-def uncontrolled_demo(S, law, w0, n_steps, seed):
-    """Run the raw process w~^{k+1} = S w~^k + phi^{k+1} on the full space.
+def uncontrolled_demo(model_or_A, tau, law, w0, n_steps, seed):
+    """Run the raw process w~^{k+1} = S w~^k + phi^{k+1} with the full, growing
+    S = S(tau) = e^{-tau A}.
 
-    Requires S = S(tau) to have spectral radius above 1 (A has an eigenvalue
-    with Re < 0); returns the (n_steps+1,) norms ||w~^k|| and their fitted
-    per-step growth rate.
+    Requires S's spectral radius e^{-tau min Re lambda(A)} (the model's cached
+    spectrum) above 1; returns the (n_steps+1,) norms ||w~^k|| and their
+    fitted per-step growth rate.  Raises BlowupOverflow if a norm overflows.
     """
-    if np.max(np.abs(np.linalg.eigvals(S))) <= 1.0:
+    if -tau * _eigvals(model_or_A).real.min() <= 0:
         raise NotUnstable("no eigenvalue with negative real part")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    kicks = sample_kicks(law, rng, n_steps)
-    states = propagate(S, np.eye(law.n), np.asarray(w0, dtype=float), kicks)
-    norms = np.linalg.norm(states, axis=1)
+    kicks = sample_kicks(law, np.random.default_rng(np.random.SeedSequence(seed)), n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(propagate(semigroup(model_or_A, tau), np.eye(law.n),
+                                         np.asarray(w0, dtype=float), kicks), axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise BlowupOverflow(f"uncontrolled norms overflow within {n_steps} steps at tau = {tau}")
     return norms, fit_log_growth(norms)
 
 

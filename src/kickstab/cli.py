@@ -64,8 +64,8 @@ from .spectral import (
     contraction_certificate,
     eig_split,
     riesz_projector,
-    semigroup,
     sigma_ladder,
+    stable_step,
     tail_contraction,
 )
 
@@ -78,14 +78,15 @@ _PREREQS = {
     "simulate": ("certificate.json",),
     "density": ("dichotomy.json",),
     "mixing": ("certificate.json",),
-    "report": ("model.json", "dichotomy.json", "certificate.json",
-               "envelope.json", "density.json", "mixing.json"),
+    "report": ("model.json", "dichotomy.json", "certificate.json", "envelope.json",
+               "blowup.json", "density.json", "mixing.json", "slln.json", "stationary.json"),
 }
 
 
 class Pipeline:
-    """Holds the config, derived components (built lazily, once per pipeline;
-    S(tau) once per distinct tau in ``semigroup``), and the artifact dir."""
+    """Holds the config, derived components (built lazily, once per pipeline)
+    and the artifact dir.  The chain is read through ``step``: one X_sigma step
+    T = e^{-tau A_sigma} per tau; only ``uncontrolled_demo`` forms S(tau)."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir, seed_override=None):
         if seed_override is not None:
@@ -100,43 +101,34 @@ class Pipeline:
 
     # -- component construction (deterministic, cheap; rebuilt per stage) --
 
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def model(self):
-        if "model" not in self._cache:
-            m = self.cfg.model
-            spec = synth_stokes_spectrum(m.n, m.d, m.beta0, m.remainder_scale, m.spectrum_seed)
-            self._cache["model"] = build_oseen(
-                spec, m.b, m.n_unstable, m.build_sigma, m.obs_idx, m.seed,
-                gap_tol=m.build_gap_tol)
-        return self._cache["model"]
+        m = self.cfg.model
+        return self._cached("model", lambda: build_oseen(
+            synth_stokes_spectrum(m.n, m.d, m.beta0, m.remainder_scale, m.spectrum_seed),
+            m.b, m.n_unstable, m.build_sigma, m.obs_idx, m.seed, gap_tol=m.build_gap_tol))
 
     def dichotomy(self):
-        if "dich" not in self._cache:
-            self._cache["dich"] = eig_split(self.model(), self.cfg.model.sigma)
-        return self._cache["dich"]
+        return self._cached("dich", lambda: eig_split(self.model(), self.cfg.model.sigma))
 
     def ladder(self):
-        if "ladder" not in self._cache:
-            self._cache["ladder"] = sigma_ladder(
-                self.model(), self.cfg.model.sigma, self.cfg.run.ladder_levels)
-        return self._cache["ladder"]
+        return self._cached("ladder", lambda: sigma_ladder(
+            self.model(), self.cfg.model.sigma, self.cfg.run.ladder_levels))
 
     def controller(self):
-        if "pi" not in self._cache:
-            geo = make_control_geometry(self.dichotomy(), self.cfg.model.obs_idx,
-                                        seed=self.cfg.control.seed)
-            self._cache["pi"] = build_pi(self.dichotomy(), geo)
-        return self._cache["pi"]
+        return self._cached("pi", lambda: build_pi(self.dichotomy(), make_control_geometry(
+            self.dichotomy(), self.cfg.model.obs_idx, seed=self.cfg.control.seed)))
 
     def law(self):
-        if "law" not in self._cache:
-            K = self.cfg.kick_matrix()
-            self._cache["law"] = make_kick_law(K, self.cfg.kick.eps_hat, self.cfg.kick.seed)
-        return self._cache["law"]
+        k = self.cfg.kick
+        return self._cached("law", lambda: make_kick_law(self.cfg.kick_matrix(), k.eps_hat, k.seed))
 
-    def semigroup(self, tau):
-        if ("S", tau) not in self._cache:
-            self._cache["S", tau] = semigroup(self.model(), tau)
-        return self._cache["S", tau]
+    def step(self, tau):
+        return self._cached(("step", tau), lambda: stable_step(self.model(), self.dichotomy(), tau))
 
     # -- artifact helpers --
 
@@ -195,18 +187,18 @@ class Pipeline:
 
     def stage_certify(self):
         self.require("certify")
-        model, dich = self.model(), self.dichotomy()
+        model = self.model()
         sigma, tau = self.cfg.model.sigma, self.cfg.run.tau
-        gamma0, ok = contraction_certificate(dich, self.semigroup(tau))
-        # S(2t) = S(t)^2, so the grid builds only S(1).  While expm scales
+        gamma0, ok = contraction_certificate(self.step(tau))
+        # T(2t) = T(t)^2, so the grid builds only T(1).  While expm scales
         # and squares at t = 1 (scaling exponent >= 1), the square equals
-        # expm(-2tA) bit for bit
-        grid, S_t = {}, self.semigroup(1.0)
+        # expm(-2t A_sigma) bit for bit
+        grid, step_t = {}, self.step(1.0)
         for t in (1.0, 2.0, 4.0, 8.0):
             if t > 1.0:
-                S_t = S_t @ S_t
-            grid[str(t)] = gamma0 if t == tau else contraction_certificate(dich, S_t)[0]
-        gammas = tail_contraction(self.ladder(), self.semigroup(tau))
+                step_t = step_t.squared()
+            grid[str(t)] = gamma0 if t == tau else contraction_certificate(step_t)[0]
+        gammas = tail_contraction(self.ladder(), self.step(tau))
         # two independent constructions of one projector: ordered real Schur
         # vs quadrature
         P_schur = _spectral_projector_schur(model, sigma)
@@ -232,14 +224,14 @@ class Pipeline:
         cfg = self.cfg
         model, dich, pi, law = self.model(), self.dichotomy(), self.controller(), self.law()
         tau = cfg.run.tau
-        S = self.semigroup(tau)
-        gamma0, _ = contraction_certificate(dich, S)
+        step = self.step(tau)
+        gamma0, _ = contraction_certificate(step)
         w0 = stable_state(dich, cfg.run.w0_scale, cfg.run.w0_seed)
 
         # one chain on the run seed: trajectory.csv shows its first n_steps
         # steps, and the blow-up ratio reads its norm at uncontrolled_steps
         n_steps, n_unc = cfg.run.n_steps, cfg.run.uncontrolled_steps
-        states = run_chain(S, pi, law, w0, max(n_steps, n_unc), cfg.run.seed)
+        states = run_chain(step, pi, law, w0, max(n_steps, n_unc), cfg.run.seed)
         norms = np.linalg.norm(states, axis=1)
         pt = self.path("trajectory.csv")
         cols = ["step", "norm"] + [f"w{i}" for i in range(model.n)]
@@ -248,7 +240,8 @@ class Pipeline:
         w0_norm = float(np.linalg.norm(w0))
         ens_norms = np.concatenate([
             np.linalg.norm(block, axis=2)
-            for block in ensemble_blocks(S, pi, law, w0, cfg.run.n_chains, n_steps, cfg.run.seed)])
+            for block in ensemble_blocks(step, pi, law, w0, cfg.run.n_chains, n_steps,
+                                         cfg.run.seed)])
         rep = envelope_check(ens_norms, w0_norm, gamma0, pi.norm_Pi, law.eps_hat)
         rep["n_chains"] = cfg.run.n_chains
         bound = envelope_bound(n_steps, w0_norm, gamma0, pi.norm_Pi, law.eps_hat)
@@ -267,7 +260,7 @@ class Pipeline:
         pb = self.path("blowup.json")
         ev_min = model.eigvals().real.min()
         if ev_min < 0:
-            norms_u, rate = uncontrolled_demo(S, law, w0, n_unc, cfg.run.seed)
+            norms_u, rate = uncontrolled_demo(model, tau, law, w0, n_unc, cfg.run.seed)
             write_json(pb, {"applicable": True,
                             "growth_rate_per_step": rate,
                             "expected_rate": float(-tau * ev_min),
@@ -331,20 +324,20 @@ class Pipeline:
         cfg = self.cfg
         model, dich, pi, law = self.model(), self.dichotomy(), self.controller(), self.law()
         mix = cfg.mixing
-        S = self.semigroup(mix.tau)
+        step = self.step(mix.tau)
         obs = make_observables(model.n, mix.n_linear, mix.n_radial,
                                seed=mix.obs_seed, radial_scale=mix.radial_scale)
         w0 = stable_state(dich, mix.w0_scale, cfg.run.w0_seed)
-        rep = mixing_decay(S, pi, law, w0, -w0, mix.n_chains, mix.n_steps, obs, mix.seed)
+        rep = mixing_decay(step, pi, law, w0, -w0, mix.n_chains, mix.n_steps, obs, mix.seed)
         pd = self.path("mixing_dk.csv")
         emit_series(pd, ["k", "d_k"], [[k, v] for k, v in enumerate(rep.d_k)])
         pj = self.path("mixing.json")
         write_json(pj, rep.to_json_dict())
 
-        S_run = self.semigroup(cfg.run.tau)
-        g0, _ = contraction_certificate(dich, S_run)
-        sl_a = slln_average(S_run, pi, law, w0, mix.slln_steps, obs, mix.slln_seed_a)
-        sl_b = slln_average(S_run, pi, law, w0, mix.slln_steps, obs, mix.slln_seed_b)
+        step_run = self.step(cfg.run.tau)
+        g0, _ = contraction_certificate(step_run)
+        sl_a = slln_average(step_run, pi, law, w0, mix.slln_steps, obs, mix.slln_seed_a)
+        sl_b = slln_average(step_run, pi, law, w0, mix.slln_steps, obs, mix.slln_seed_b)
         lo = np.maximum(np.array(sl_a["state_ci_low"]), np.array(sl_b["state_ci_low"]))
         hi = np.minimum(np.array(sl_a["state_ci_high"]), np.array(sl_b["state_ci_high"]))
         ps = self.path("slln.json")
@@ -354,7 +347,7 @@ class Pipeline:
         burn = cfg.run.burn_in
         if burn is None:
             burn = max(10, burn_in_floor(law.eps_hat, mix.w0_scale, g0))
-        stats = stationary_stats(S_run, pi, law, w0, mix.slln_steps, burn,
+        stats = stationary_stats(step_run, pi, law, w0, mix.slln_steps, burn,
                                  mix.seed + 5, gamma0=g0)
         cov_min_eig = float(np.linalg.eigvalsh(stats["cov"]).min())
         pst = self.path("stationary.json")
@@ -375,8 +368,8 @@ class Pipeline:
         stat = self.load("stationary.json")
         blow = self.load("blowup.json")
 
-        cond = condition_check(self.dichotomy(), self.ladder(), self.controller(), self.law(),
-                               self.semigroup(self.cfg.run.tau), seed=self.cfg.control.seed)
+        cond = condition_check(self.ladder(), self.controller(), self.law(),
+                               self.step(self.cfg.run.tau), seed=self.cfg.control.seed)
 
         grid = [cert["gamma0_grid"][k] for k in ("1.0", "2.0", "4.0", "8.0")]
         checks = {

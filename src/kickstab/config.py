@@ -8,7 +8,9 @@ its field (the sigma gap itself is verified by the dichotomy stage).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -159,7 +161,28 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return cfg
 
 
+def _check_scalars(cfg: ExperimentConfig):
+    """Each int or float field holds its declared type: an int field an
+    integer (not a bool), a float field a finite number (not a bool); a field
+    declared ``| None`` may also be null.  Seeds must be non-negative."""
+    for section in _SECTIONS:
+        sec = getattr(cfg, section)
+        for f in fields(sec):
+            kind, _, optional = f.type.partition(" | ")
+            value, name = getattr(sec, f.name), f"{section}.{f.name}"
+            if kind not in ("int", "float") or (value is None and optional):
+                continue
+            number, noun = (Integral, "an integer") if kind == "int" else (Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ValidationError(name, f"must be {noun}")
+            if not math.isfinite(value):
+                raise ValidationError(name, "must be finite")
+            if "seed" in f.name and value < 0:
+                raise ValidationError(name, "must be >= 0")
+
+
 def _validate(cfg: ExperimentConfig):
+    _check_scalars(cfg)
     m = cfg.model
     if m.n < 1:
         raise ValidationError("model.n", "must be >= 1")

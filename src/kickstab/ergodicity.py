@@ -1,17 +1,18 @@
 """Ergodicity verification: hypothesis checks, mixing decay, SLLN averaging.
 
-The chain w^{k+1} = S w^k + Pi phi^{k+1} on X_sigma is expected to have a
-unique stationary law with exponential mixing once three ingredients hold:
-the restricted contraction gamma_0 < 1, tail contractions gamma_k that
-decay along the sigma ladder, and a total-variation Lipschitz bound for
-the projected kick density.  This module measures all three and then
+The chain w^{k+1} = S w^k + Pi phi^{k+1} on X_sigma, stepped by its
+``spectral.StableStep`` T = e^{-tau A_sigma}, is expected to have a unique
+stationary law with exponential mixing once three ingredients hold: the
+contraction gamma_0 = ||T||_2 < 1, tail contractions gamma_k that decay
+along the sigma ladder, and a total-variation Lipschitz bound for the
+projected kick density.  This module measures all three and then
 observes the conclusions directly on ensembles: decay of dual-Lipschitz
 distances between two initial states, and convergence of running averages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import stdtrit
@@ -102,19 +103,10 @@ class MixingReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "d_k": self.d_k.tolist(),
-            "noise_floor": self.noise_floor,
-            "window": list(self.window),
-            "c_fit": self.c_fit,
-            "gamma_fit": self.gamma_fit,
-            "r2": self.r2,
-            "conclusive": self.conclusive,
-            "note": self.note,
-        }
+        return asdict(self)   # canonical_json lists d_k and window
 
 
-def _ensemble_obs_means(S, pi, law, w0, n_chains, n_steps, seed_seq, observables):
+def _ensemble_obs_means(step, pi, law, w0, n_chains, n_steps, seed_seq, observables):
     """Per-step means over chains of the observables, shape (steps+1, size).
 
     Each block of ``chain.ensemble_blocks`` is evaluated step by step and
@@ -122,7 +114,7 @@ def _ensemble_obs_means(S, pi, law, w0, n_chains, n_steps, seed_seq, observables
     chain order, before the next block is stepped.
     """
     sums = np.zeros((n_steps + 1, observables.size))
-    for states in ensemble_blocks(S, pi, law, w0, n_chains, n_steps, seed_seq):
+    for states in ensemble_blocks(step, pi, law, w0, n_chains, n_steps, seed_seq):
         for k in range(n_steps + 1):
             vals = observables.evaluate(states[:, k])
             vals[0] += sums[k]
@@ -130,7 +122,7 @@ def _ensemble_obs_means(S, pi, law, w0, n_chains, n_steps, seed_seq, observables
     return sums / n_chains
 
 
-def mixing_decay(S, pi, law, w0_A, w0_B, n_chains, n_steps, observables,
+def mixing_decay(step, pi, law, w0_A, w0_B, n_chains, n_steps, observables,
                  seed) -> MixingReport:
     """Dual-Lipschitz distance decay between two ensembles.
 
@@ -145,11 +137,11 @@ def mixing_decay(S, pi, law, w0_A, w0_B, n_chains, n_steps, observables,
         raise ValueError("n_chains must be at least 2")
     root = np.random.SeedSequence(seed)
     sA, sB, sN1, sN2 = root.spawn(4)
-    mA = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sA, observables)
-    mB = _ensemble_obs_means(S, pi, law, w0_B, n_chains, n_steps, sB, observables)
+    mA = _ensemble_obs_means(step, pi, law, w0_A, n_chains, n_steps, sA, observables)
+    mB = _ensemble_obs_means(step, pi, law, w0_B, n_chains, n_steps, sB, observables)
     d_k = np.max(np.abs(mA - mB), axis=1)
-    m1 = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sN1, observables)
-    m2 = _ensemble_obs_means(S, pi, law, w0_A, n_chains, n_steps, sN2, observables)
+    m1 = _ensemble_obs_means(step, pi, law, w0_A, n_chains, n_steps, sN1, observables)
+    m2 = _ensemble_obs_means(step, pi, law, w0_A, n_chains, n_steps, sN2, observables)
     d_null = np.max(np.abs(m1 - m2), axis=1)
     floor = float(np.mean(d_null[2:])) if len(d_null) > 2 else float(np.mean(d_null))
     above = np.nonzero(d_k > 3.0 * floor)[0]
@@ -190,13 +182,13 @@ def _batch_ci(series, n_batches=30, level=0.95):
     return mean, mean - tq * se, mean + tq * se
 
 
-def slln_average(S, pi, law, w0, n_steps, observables, seed,
+def slln_average(step, pi, law, w0, n_steps, observables, seed,
                  n_batches=30, checkpoints=None) -> dict:
     """Running averages along one trajectory with batch-means intervals.
 
     The trajectory is ``chain.run_chain``'s, stepped in X_sigma coordinates.
     """
-    states = run_chain(S, pi, law, w0, n_steps, seed)
+    states = run_chain(step, pi, law, w0, n_steps, seed)
     fv = observables.evaluate(states)
     if checkpoints is None:
         checkpoints = sorted({n_steps // 100, n_steps // 10, n_steps} - {0})
@@ -214,7 +206,7 @@ def slln_average(S, pi, law, w0, n_steps, observables, seed,
     }
 
 
-def stationary_stats(S, pi, law, w0, n_steps, burn_in, seed, gamma0=None) -> dict:
+def stationary_stats(step, pi, law, w0, n_steps, burn_in, seed, gamma0=None) -> dict:
     """Post-burn-in moments of one long trajectory (``chain.run_chain``).
 
     burn_in must dominate the deterministic transient
@@ -225,7 +217,7 @@ def stationary_stats(S, pi, law, w0, n_steps, burn_in, seed, gamma0=None) -> dic
         floor = burn_in_floor(law.eps_hat, float(np.linalg.norm(w0)), gamma0)
         if burn_in < floor:
             raise BurnInBelowFloor(f"burn_in {burn_in} below the transient floor {floor}")
-    states = run_chain(S, pi, law, w0, n_steps, seed)
+    states = run_chain(step, pi, law, w0, n_steps, seed)
     post = states[burn_in:]
     norms = np.linalg.norm(post, axis=1)
     counts, edges = np.histogram(norms, bins=40)
@@ -263,18 +255,18 @@ def _tv_statistics(dec, plaw, rng, n_pairs, sep_range, quad):
     return seps, ratios
 
 
-def condition_check(dich, ladder, pi, law, S,
+def condition_check(ladder, pi, law, step,
                     tv_level=1, tv_pairs=12, tv_sep_range=(1e-3, 1e-1),
                     tv_quad=None, seed=0) -> dict:
-    """Verify the three ergodicity hypotheses for the step S = S(tau).
+    """Verify the three ergodicity hypotheses for the chain's ``StableStep``.
 
     Returns a report with one entry per hypothesis: restricted contraction
     (gamma_0 < 1), tail contraction (strictly decreasing with the last
     level below 0.5 * gamma_0), and boundedness/stability of the projected
     total-variation ratio.  Failures are reported, not raised.
     """
-    gamma0, ok = contraction_certificate(dich, S)
-    gammas = tail_contraction(ladder, S)
+    gamma0, ok = contraction_certificate(step)
+    gammas = tail_contraction(ladder, step)
     strictly_dec = bool(np.all(np.diff(gammas) < 0))
     tail_ok = strictly_dec and bool(gammas[-1] < 0.5 * gamma0)
     report = {

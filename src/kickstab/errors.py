@@ -45,6 +45,10 @@ class NotUnstable(KickstabError):
     """Operator has no eigenvalue with negative real part."""
 
 
+class BlowupOverflow(KickstabError):
+    """The uncontrolled process left the floating-point range."""
+
+
 class QuadratureUnsupported(KickstabError):
     """No quadrature rule is implemented for the requested dimension."""
 

@@ -16,13 +16,13 @@ Schur-based routine derives from it with no new factorization:
     triangular by ``rsf2csf``, carries the Riesz quadrature (one triangular
     inverse per node of a fixed _RIESZ_NODES-node rule on a rectangle) and
     the contour resolvent norms.
-X_sigma is the orthogonal complement of span D; it is invariant under
-S(tau) = e^{-A tau} and the restricted operator norm there is the
-contraction constant gamma_0.  Eigenvalues come from the model's
-``spectrum_cache``; a bare matrix gets a dense eigensolve.
-
-S(tau) is formed only by ``semigroup``, by scaling and squaring (``expm``);
-callers build it once per tau and pass it to the contraction constants.
+X_sigma = (span D)^perp is A-invariant: in its basis U (``stable_basis``) the
+chain's generator is A_sigma = U^T A U, and ``stable_step`` forms its step
+T = e^{-tau A_sigma} = U^T S(tau) U, from which gamma_0 = ||T||_2 and the tail
+gamma_k are read.  Projecting the full S(tau) = e^{-tau A} instead carries
+roundoff of about 1e-16 e^{tau |lambda_u|} from the unstable modes (Moler &
+Van Loan, SIAM Review 45, 2003).  ``semigroup`` (``expm``) is the one
+exponential.  Eigenvalues come from the model's ``spectrum_cache``.
 
 The contour bounds (I1, I2) of ``contour_bound_integrals`` bound S(tau) on
 X_sigma by a Dunford integral of the resolvent norm along a shifted sector
@@ -52,6 +52,8 @@ __all__ = [
     "eig_split",
     "riesz_projector",
     "semigroup",
+    "StableStep",
+    "stable_step",
     "contraction_certificate",
     "contour_bound_integrals",
     "sigma_ladder",
@@ -123,12 +125,7 @@ class Dichotomy:
         return self.D.shape[0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "m": self.m,
-            "gap": self.gap,
-            "D": self.D.ravel().tolist(),
-        }
+        return {"sigma": self.sigma, "m": self.m, "gap": self.gap, "D": self.D.ravel().tolist()}
 
 
 def _reorder(T, Q, level):
@@ -278,21 +275,34 @@ def riesz_projector(model, sigma, gap_tol=1e-6) -> np.ndarray:
 
 
 def semigroup(model, tau) -> np.ndarray:
-    """S(tau) = e^{-A tau} by scaling and squaring (``scipy.linalg.expm``)."""
+    """e^{-tau A} of a model's A or a square matrix (``scipy.linalg.expm``)."""
     A = _as_matrix(model)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     return sla.expm(-tau * A)
 
 
-def restricted_norm(S, basis) -> float:
-    """Operator 2-norm of S restricted to the span of an orthonormal basis."""
-    return _spectral_norm(basis.T @ S @ basis)
+@dataclass(frozen=True)
+class StableStep:
+    """The chain's step on X_sigma = span U over time tau: T = e^{-tau A_sigma}."""
+
+    tau: float
+    U: np.ndarray   # n x (n-m) orthonormal basis of X_sigma (Dichotomy.stable_basis)
+    T: np.ndarray   # (n-m) x (n-m)
+
+    def squared(self) -> "StableStep":
+        return StableStep(2.0 * self.tau, self.U, self.T @ self.T)
 
 
-def contraction_certificate(dich, S):
-    """(gamma0, ok): norm of S = S(tau) restricted to X_sigma, contraction flag."""
-    gamma0 = restricted_norm(S, dich.stable_basis)
+def stable_step(model_or_A, dich, tau) -> StableStep:
+    """T = e^{-tau A_sigma} with A_sigma = U^T A U, U = ``dich.stable_basis``."""
+    A, U = _as_matrix(model_or_A), dich.stable_basis
+    return StableStep(float(tau), U, semigroup(U.T @ A @ U, tau))
+
+
+def contraction_certificate(step):
+    """(gamma0, ok): gamma0 = ||T||_2, the norm of the step on X_sigma, and gamma0 < 1."""
+    gamma0 = _spectral_norm(step.T)
     return gamma0, bool(gamma0 < 1.0)
 
 
@@ -444,13 +454,8 @@ class SigmaLadder:
         return self.E_all[:, :self.n_list[k - 1]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "sigma_list": list(self.sigma_list),
-            "n_list": [int(v) for v in self.n_list],
-            "m": self.m,
-            "gaps": list(self.gaps),
-        }
+        return {"sigma": self.sigma, "sigma_list": list(self.sigma_list), "m": self.m,
+                "n_list": [int(v) for v in self.n_list], "gaps": list(self.gaps)}
 
 
 def sigma_ladder(model, sigma, K, gap_tol=1e-6, grid_points=1024) -> SigmaLadder:
@@ -486,7 +491,8 @@ def sigma_ladder(model, sigma, K, gap_tol=1e-6, grid_points=1024) -> SigmaLadder
                        completion=Z, gaps=tuple(gaps))
 
 
-def tail_contraction(ladder, S) -> np.ndarray:
-    """gamma_k = norm of S = S(tau) restricted to X_{sigma_k}, per ladder level."""
-    return np.array([restricted_norm(S, ladder.tail_basis(k))
-                     for k in range(1, ladder.K + 1)])
+def tail_contraction(ladder, step) -> np.ndarray:
+    """gamma_k = ||V^T T V||_2 per ladder level, V = U^T E_k the orthonormal basis
+    of X_{sigma_k} (which lies in X_sigma) in the step's frame."""
+    Vs = [step.U.T @ ladder.tail_basis(k) for k in range(1, ladder.K + 1)]
+    return np.array([_spectral_norm(V.T @ step.T @ V) for V in Vs])

@@ -90,13 +90,13 @@ def ref_law(ref_kick_matrix):
 
 
 @pytest.fixture(scope="session")
-def ref_S(ref_model):
-    return ks.spectral.semigroup(ref_model, REF["tau"])
+def ref_step(ref_model, ref_dichotomy):
+    return ks.spectral.stable_step(ref_model, ref_dichotomy, REF["tau"])
 
 
 @pytest.fixture(scope="session")
-def ref_gamma0(ref_dichotomy, ref_S):
-    g0, ok = ks.spectral.contraction_certificate(ref_dichotomy, ref_S)
+def ref_gamma0(ref_step):
+    g0, ok = ks.spectral.contraction_certificate(ref_step)
     assert ok
     return g0
 

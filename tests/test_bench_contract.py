@@ -67,22 +67,22 @@ def test_kick_law_exposes_norm_const_est():
     assert 0.0 < info["accept_prob"] < 1.0
 
 
-def test_chain_hooks_read_step_counts(ref_S, ref_pi, ref_law, ref_w0, ref_gamma0):
+def test_chain_hooks_read_step_counts(ref_step, ref_pi, ref_law, ref_w0, ref_gamma0):
     # the ensemble hook reads (chains, steps + 1, n) states; the n_steps
     # hook binds the argument by name, as the pipeline passes it
     hook = lt._info_hook("ensemble", run_ensemble)
-    args = (ref_S, ref_pi, ref_law, ref_w0, 3, 7, 5)
+    args = (ref_step, ref_pi, ref_law, ref_w0, 3, 7, 5)
     assert hook(args, {}, run_ensemble(*args)) == {"steps": 3 * 7}
     obs = make_observables(REF["n"], 4, 2, seed=0)
-    calls = ((slln_average, (ref_S, ref_pi, ref_law, ref_w0, 60, obs, 1), {}),
-             (stationary_stats, (ref_S, ref_pi, ref_law, ref_w0, 60, 20, 2),
+    calls = ((slln_average, (ref_step, ref_pi, ref_law, ref_w0, 60, obs, 1), {}),
+             (stationary_stats, (ref_step, ref_pi, ref_law, ref_w0, 60, 20, 2),
               {"gamma0": ref_gamma0}))
     for fn, args, kwargs in calls:
         hook = lt._info_hook("n_steps", fn)
         assert hook(args, kwargs, fn(*args, **kwargs)) == {"steps": 60}
 
 
-def test_ensemble_blocks_trace_one_run_ensemble_per_block(monkeypatch, ref_S, ref_pi,
+def test_ensemble_blocks_trace_one_run_ensemble_per_block(monkeypatch, ref_step, ref_pi,
                                                           ref_law, ref_w0):
     # the ensemble metrics count run_ensemble calls and their states, so
     # every block must be one call through the rebindable chain.run_ensemble
@@ -91,7 +91,7 @@ def test_ensemble_blocks_trace_one_run_ensemble_per_block(monkeypatch, ref_S, re
     tracer = lt.Tracer()
     tracer.install()
     try:
-        blocks = list(ensemble_blocks(ref_S, ref_pi, ref_law, ref_w0, n_chains, n_steps, 5))
+        blocks = list(ensemble_blocks(ref_step, ref_pi, ref_law, ref_w0, n_chains, n_steps, 5))
     finally:
         tracer.uninstall()
     assert len(blocks) >= 3

@@ -104,12 +104,16 @@ def _case(field, value, others=None, name=None):
     _case("density.alpha", [1.0, 2.0], _EXPLICIT, name="density.alpha-flat_no_shape"),
     _case("kick.power", 800), _case("kick.power", 2000), _case("kick.power", -2000),
     _case("kick.scale", 50.0, {"kick": {"K": "dense", "entries": _SPD.ravel().tolist()}},
-          name="kick.scale-dense")])
+          name="kick.scale-dense"),
+    _case("run.seed", -1), _case("mixing.obs_seed", -1), _case("run.tau", float("nan")),
+    _case("run.tau", float("inf")), _case("model.beta0", float("nan")),
+    _case("mixing.w0_scale", float("nan")), _case("model.n", 20.5), _case("run.n_steps", 2.5),
+    _case("model.n", True)])
 def test_crashing_values_rejected_at_load(field, value, others):
     # each of these once passed validation and then crashed a stage with an
-    # IndexError, ValueError, ZeroDivisionError or LinAlgError (or, for
-    # density.level = 0, silently read the top ladder level, and for a dense
-    # K, silently ignored kick.scale)
+    # IndexError, TypeError, ValueError, ZeroDivisionError or LinAlgError (or,
+    # for density.level = 0, silently read the top ladder level, for a dense
+    # K, silently ignored kick.scale, and for model.n = true, ran with n = 1)
     doc = {"kick": {"eps_hat": 0.01}}
     for sec, vals in others.items():
         doc.setdefault(sec, {}).update(vals)
@@ -235,9 +239,51 @@ def test_stage_incremental_rerun(tmp_path):
     assert list(map(float, cert["gamma0_grid"].keys())) == [1.0, 2.0, 4.0, 8.0]
 
 
+def _write_config(tmp_path, doc):
+    path = os.path.join(tmp_path, "config.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def test_fast_unstable_mode_gamma0_decreasing_in_tau(tmp_path):
+    # model.b = 50 moves the unstable eigenvalue to about -11.8.  Projecting
+    # the full S(tau) read gamma0 = 7.7e4 at tau = 4 and 2.4e25 at tau = 8
+    # (roundoff of 1e-16 e^{11.8 tau}); the X_sigma step reads 0.0137 and 1.2e-4
+    path = _write_config(tmp_path, {"model": {"b": 50.0}, "kick": {"eps_hat": 0.01}})
+    out = os.path.join(tmp_path, "out")
+    for stage in ("synth", "dichotomy", "certify"):
+        assert main([stage, "--config", path, "--out", out]) == 0
+    cert = json.load(open(os.path.join(out, "certificate.json")))
+    grid = [cert["gamma0_grid"][k] for k in ("1.0", "2.0", "4.0", "8.0")]
+    assert all(b < a for a, b in zip(grid, grid[1:]))   # the report's predicate
+    assert grid[-1] < 1e-3
+
+
+def test_long_tau_stops_with_a_named_error(tmp_path, capsys):
+    # run.tau = 1000: the X_sigma step is 0 to the last bit, while the
+    # uncontrolled demonstration grows by e^{42} per step and overflows.  That
+    # stops simulate with BlowupOverflow, not a traceback; mixing, which
+    # projected the full S(1000) into NaN states, runs on the step
+    path = _write_config(tmp_path, {
+        "kick": {"eps_hat": 0.01},
+        "run": {"tau": 1000.0, "n_steps": 20, "n_chains": 10},
+        "mixing": {"n_chains": 20, "n_steps": 20, "slln_steps": 600}})
+    out = os.path.join(tmp_path, "out")
+    assert main(["all", "--config", path, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "uncontrolled norms overflow" in err
+    cert = json.load(open(os.path.join(out, "certificate.json")))
+    assert cert["gamma0"] == 0.0 and cert["contraction_ok"]
+    assert main(["mixing", "--config", path, "--out", out]) == 0
+    assert main(["report", "--config", path, "--out", out]) == 3   # no blowup.json
+    assert "requires artifact blowup.json" in capsys.readouterr().err
+
+
 def test_all_builds_each_semigroup_once(tmp_path, monkeypatch):
-    # one expm per distinct tau of the run: run.tau, mixing.tau and S(1);
-    # the certify grid squares S(1) for 2, 4 and 8
+    # one expm per distinct tau of the run: the X_sigma steps T(run.tau),
+    # T(mixing.tau) and T(1); the certify grid squares T(1) for 2, 4 and 8.
+    # This model has no unstable mode, so no blow-up demonstration runs
     import scipy.linalg
     real_expm = scipy.linalg.expm
     calls = []
@@ -254,37 +300,42 @@ def test_all_builds_each_semigroup_once(tmp_path, monkeypatch):
 
 
 def test_pipeline_semigroup_is_expm(tmp_path):
-    # the S(tau) the chains step with is scaling-and-squaring, bit for bit
+    # the semigroup the chains step with is the scaling-and-squaring
+    # exponential of A_sigma = U^T A U, bit for bit, once per tau
     import scipy.linalg
     from kickstab.cli import Pipeline
 
     cfg = config_from_dict({"kick": {"eps_hat": 0.01}})
     pipe = Pipeline(cfg, os.path.join(tmp_path, "out"))
-    A = pipe.model().A
+    U = pipe.dichotomy().stable_basis
+    A_sigma = U.T @ pipe.model().A @ U
     for tau in (cfg.run.tau, cfg.mixing.tau):
-        assert np.array_equal(pipe.semigroup(tau), scipy.linalg.expm(-tau * A))
+        step = pipe.step(tau)
+        assert step.U is U and step.tau == tau and pipe.step(tau) is step
+        assert np.array_equal(step.T, scipy.linalg.expm(-tau * A_sigma))
 
 
 def test_squared_semigroup_is_expm_bit_for_bit(tmp_path, ref_model, ref_dichotomy):
-    # the certify grid squares S(1): each square is the expm at twice the
+    # the certify grid squares T(1): each square is the expm at twice the
     # time, bit for bit, so gamma0_grid keeps the per-tau expm's values
     import scipy.linalg
     from kickstab.cli import Pipeline
-    from kickstab.spectral import contraction_certificate
+    from kickstab.spectral import StableStep, contraction_certificate
 
-    A = ref_model.A
+    U = ref_dichotomy.stable_basis
+    A_sigma = U.T @ ref_model.A @ U
     for t in (0.25, 0.5, 1.0, 2.0, 4.0):
-        S = scipy.linalg.expm(-t * A)
-        assert np.array_equal(S @ S, scipy.linalg.expm(-2 * t * A))
+        T = scipy.linalg.expm(-t * A_sigma)
+        assert np.array_equal(T @ T, scipy.linalg.expm(-2 * t * A_sigma))
     out = os.path.join(tmp_path, "out")
     pipe = Pipeline(config_from_dict({"kick": {"eps_hat": 0.01}}), out)
-    assert np.array_equal(pipe.model().A, A)
+    assert np.array_equal(pipe.model().A, ref_model.A)
     for stage in ("synth", "dichotomy", "certify"):
         assert pipe.run_stage(stage) == 0
     grid = json.load(open(os.path.join(out, "certificate.json")))["gamma0_grid"]
     for t in (1.0, 2.0, 4.0, 8.0):
-        S = scipy.linalg.expm(-t * A)
-        assert grid[str(t)] == contraction_certificate(ref_dichotomy, S)[0]
+        T = scipy.linalg.expm(-t * A_sigma)
+        assert grid[str(t)] == contraction_certificate(StableStep(t, U, T))[0]
 
 
 def test_certify_factors_A_once(tmp_path, monkeypatch):
@@ -415,11 +466,12 @@ def test_simulate_blowup_reads_a_separate_chain_bit_for_bit(simulate_pair):
 
     for pipe in simulate_pair:
         run = pipe.cfg.run
-        S, law = pipe.semigroup(run.tau), pipe.law()
+        step, law = pipe.step(run.tau), pipe.law()
         w0 = stable_state(pipe.dichotomy(), run.w0_scale, run.w0_seed)
-        ctrl = np.linalg.norm(run_chain(S, pipe.controller(), law, w0,
+        ctrl = np.linalg.norm(run_chain(step, pipe.controller(), law, w0,
                                         run.uncontrolled_steps, run.seed), axis=1)
-        norms_u, _ = uncontrolled_demo(S, law, w0, run.uncontrolled_steps, run.seed)
+        norms_u, _ = uncontrolled_demo(pipe.model(), run.tau, law, w0,
+                                       run.uncontrolled_steps, run.seed)
         blow = json.load(open(pipe.path("blowup.json")))
         assert blow["applicable"]
         assert blow["ratio_uncontrolled_controlled"] == float(norms_u[-1] / ctrl[-1])

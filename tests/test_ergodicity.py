@@ -24,15 +24,15 @@ from kickstab.ergodicity import (
     stationary_stats,
 )
 from kickstab.kicks import make_kick_law
-from kickstab.spectral import semigroup
+from kickstab.spectral import semigroup, stable_step
 from tests.conftest import REF
 
 MIX_TAU = 0.25
 
 
 @pytest.fixture(scope="module")
-def mix_S(ref_model):
-    return semigroup(ref_model, MIX_TAU)
+def mix_step(ref_model, ref_dichotomy):
+    return stable_step(ref_model, ref_dichotomy, MIX_TAU)
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +53,9 @@ def test_observables_certified(observables):
         assert np.all(np.abs(f1 - f2) <= np.linalg.norm(w1 - w2) + 1e-12)
 
 
-def test_condition_check_reference_passes(ref_S, ref_dichotomy, ref_ladder,
-                                          ref_pi, ref_kick_matrix):
+def test_condition_check_reference_passes(ref_step, ref_ladder, ref_pi, ref_kick_matrix):
     law = fresh_law(ref_kick_matrix)
-    report = condition_check(ref_dichotomy, ref_ladder, ref_pi, law, ref_S, seed=5)
+    report = condition_check(ref_ladder, ref_pi, law, ref_step, seed=5)
     assert report["contraction"]["pass"]
     assert report["tail"]["pass"]
     assert report["tv"]["pass"]
@@ -73,44 +72,44 @@ def test_condition_check_small_tau_fails_contraction():
 
     model = Toy()
     dich = ks.spectral.eig_split(model, 0.5)
-    S_small = semigroup(model, 0.01)
-    g0_small, ok = ks.spectral.contraction_certificate(dich, S_small)
+    step_small = stable_step(model, dich, 0.01)
+    g0_small, ok = ks.spectral.contraction_certificate(step_small)
     assert g0_small >= 1.0 and not ok
     ladder = ks.spectral.sigma_ladder(model, 0.5, 2)
     from kickstab.feedback import build_pi, make_control_geometry
     geo = make_control_geometry(dich, (1, 2), seed=0)
     pi = build_pi(dich, geo)
     law = make_kick_law(np.diag([4e-4, 1e-4, 4e-5]), 0.05, seed=0, norm_samples=0)
-    report = condition_check(dich, ladder, pi, law, S_small, tv_pairs=2, seed=5)
+    report = condition_check(ladder, pi, law, step_small, tv_pairs=2, seed=5)
     assert not report["contraction"]["pass"]
     assert report["contraction"]["gamma0"] >= 1.0
     assert not report["all_pass"]
     # at a long enough horizon the same system certifies
-    g0_big, ok_big = ks.spectral.contraction_certificate(dich, semigroup(model, 8.0))
+    g0_big, ok_big = ks.spectral.contraction_certificate(stable_step(model, dich, 8.0))
     assert ok_big and g0_big < 1.0
 
 
-def test_condition_check_degenerate_law_flagged(ref_S, ref_dichotomy,
-                                                ref_ladder, ref_pi, ref_kick_matrix):
+def test_condition_check_degenerate_law_flagged(ref_step, ref_ladder, ref_pi,
+                                                ref_kick_matrix):
     law = fresh_law(ref_kick_matrix, eps=0.0)
-    report = condition_check(ref_dichotomy, ref_ladder, ref_pi, law, ref_S, seed=5)
+    report = condition_check(ref_ladder, ref_pi, law, ref_step, seed=5)
     assert report["tv"]["applicable"] is False
     assert report["tv"]["pass"] is None
     assert "degenerate" in report["tv"]["note"]
 
 
-def test_mixing_same_start_is_noise(mix_S, ref_pi, ref_kick_matrix, ref_dichotomy,
+def test_mixing_same_start_is_noise(mix_step, ref_pi, ref_kick_matrix, ref_dichotomy,
                                     observables):
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     root = np.random.SeedSequence(99)
     sA, sB = root.spawn(2)
     from kickstab.ergodicity import _ensemble_obs_means
-    mA = _ensemble_obs_means(mix_S, ref_pi, law, w0, 200, 20, sA, observables)
-    mB = _ensemble_obs_means(mix_S, ref_pi, law, w0, 200, 20, sB, observables)
+    mA = _ensemble_obs_means(mix_step, ref_pi, law, w0, 200, 20, sA, observables)
+    mB = _ensemble_obs_means(mix_step, ref_pi, law, w0, 200, 20, sB, observables)
     # per-observable MC error of the difference of means
     law2 = fresh_law(ref_kick_matrix)
-    states = run_ensemble(mix_S, ref_pi, law2, w0, 200, 20, np.random.SeedSequence(98))
+    states = run_ensemble(mix_step, ref_pi, law2, w0, 200, 20, np.random.SeedSequence(98))
     vals = observables.evaluate(states.reshape(-1, REF["n"])).reshape(200, 21, -1)
     se = np.sqrt(2.0) * vals.std(axis=0, ddof=1) / np.sqrt(200)
     # one z statistic per step k >= 1 and observable (step 0 is the shared
@@ -123,16 +122,16 @@ def test_mixing_same_start_is_noise(mix_S, ref_pi, ref_kick_matrix, ref_dichotom
 
 
 @pytest.mark.parametrize("rows", [1, 8, 16])
-def test_block_size_does_not_change_mixing_or_slln(monkeypatch, mix_S, ref_S, ref_pi,
+def test_block_size_does_not_change_mixing_or_slln(monkeypatch, mix_step, ref_step, ref_pi,
                                                     ref_law, ref_dichotomy, observables, rows):
     from kickstab.ergodicity import _ensemble_obs_means
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     n_chains, n_steps = 48, 20
 
     def run():
-        means = _ensemble_obs_means(mix_S, ref_pi, ref_law, w0, n_chains, n_steps,
+        means = _ensemble_obs_means(mix_step, ref_pi, ref_law, w0, n_chains, n_steps,
                                     np.random.SeedSequence(4), observables)
-        return means, slln_average(ref_S, ref_pi, ref_law, w0, 3000, observables, seed=6)
+        return means, slln_average(ref_step, ref_pi, ref_law, w0, 3000, observables, seed=6)
 
     means, slln = run()
     # blocks of `rows` chains, kick rounds of 3 rows
@@ -148,92 +147,94 @@ def test_block_size_does_not_change_mixing_or_slln(monkeypatch, mix_S, ref_S, re
         np.testing.assert_allclose(means_b, means, rtol=1e-12, atol=0)
 
 
-def test_mixing_deterministic_bound_without_kicks(mix_S, ref_pi, ref_kick_matrix,
-                                                  ref_dichotomy, observables):
+def test_mixing_deterministic_bound_without_kicks(ref_model, mix_step, ref_pi,
+                                                  ref_kick_matrix, ref_dichotomy, observables):
+    # gamma0 of the X_sigma step bounds the full S(tau) on X_sigma
     law = fresh_law(ref_kick_matrix, eps=0.0)
-    g0, _ = ks.spectral.contraction_certificate(ref_dichotomy, mix_S)
+    g0, _ = ks.spectral.contraction_certificate(mix_step)
+    S = semigroup(ref_model, MIX_TAU)
     w0a = stable_state(ref_dichotomy, 0.5, seed=3)
     w0b = -w0a
     wa, wb = w0a.copy(), w0b.copy()
     for k in range(1, 15):
-        wa, wb = mix_S @ wa, mix_S @ wb
+        wa, wb = S @ wa, S @ wb
         d_k = np.max(np.abs(observables.evaluate(wa) - observables.evaluate(wb)))
         assert d_k <= g0 ** k * np.linalg.norm(w0a - w0b) + 1e-12
 
 
-def test_mixing_reference_fit(mix_S, ref_pi, ref_kick_matrix, ref_dichotomy,
+def test_mixing_reference_fit(mix_step, ref_pi, ref_kick_matrix, ref_dichotomy,
                               observables):
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
-    rep = mixing_decay(mix_S, ref_pi, law, w0, -w0, 500, 100, observables,
+    rep = mixing_decay(mix_step, ref_pi, law, w0, -w0, 500, 100, observables,
                        seed=21)
     assert rep.conclusive
     assert rep.gamma_fit is not None and rep.gamma_fit < 1.0
     assert rep.r2 > 0.9
-    g0, _ = ks.spectral.contraction_certificate(ref_dichotomy, mix_S)
+    g0, _ = ks.spectral.contraction_certificate(mix_step)
     assert rep.gamma_fit <= g0 + 0.05
 
 
-def test_mixing_report_bitwise_reproducible(mix_S, ref_pi, ref_kick_matrix,
+def test_mixing_report_bitwise_reproducible(mix_step, ref_pi, ref_kick_matrix,
                                             ref_dichotomy, observables):
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     reps = []
     for _ in range(2):
         law = fresh_law(ref_kick_matrix)
-        reps.append(mixing_decay(mix_S, ref_pi, law, w0, -w0, 60, 30, observables,
+        reps.append(mixing_decay(mix_step, ref_pi, law, w0, -w0, 60, 30, observables,
                                  seed=22))
     assert canonical_json(reps[0].to_json_dict()) == canonical_json(reps[1].to_json_dict())
 
 
-def test_mixing_inconclusive_when_window_short(mix_S, ref_pi, ref_kick_matrix,
+def test_mixing_inconclusive_when_window_short(mix_step, ref_pi, ref_kick_matrix,
                                                ref_dichotomy, observables):
     # identical initial states: every d_k sits at the noise floor
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
-    rep = mixing_decay(mix_S, ref_pi, law, w0, w0, 50, 20, observables, seed=23)
+    rep = mixing_decay(mix_step, ref_pi, law, w0, w0, 50, 20, observables, seed=23)
     assert not rep.conclusive
     assert rep.gamma_fit is None
     assert "InconclusiveFit" in rep.note
 
 
-def test_slln_running_averages_converge(ref_S, ref_pi, ref_kick_matrix,
+def test_slln_running_averages_converge(ref_step, ref_pi, ref_kick_matrix,
                                         ref_dichotomy, observables):
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
-    rep = slln_average(ref_S, ref_pi, law, w0, 100_000, observables, seed=31,
+    rep = slln_average(ref_step, ref_pi, law, w0, 100_000, observables, seed=31,
                        checkpoints=(1000, 10_000, 100_000))
     norms = [np.linalg.norm(rep["running_state_mean"][N]) for N in (1000, 10_000, 100_000)]
     assert norms[0] > norms[1] > norms[2]
 
 
-def test_slln_two_seeds_agree(ref_S, ref_pi, ref_kick_matrix, ref_dichotomy, observables):
+def test_slln_two_seeds_agree(ref_step, ref_pi, ref_kick_matrix, ref_dichotomy, observables):
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     out = []
     for seed in (31, 32):
         law = fresh_law(ref_kick_matrix)
-        out.append(slln_average(ref_S, ref_pi, law, w0, 40_000, observables, seed=seed))
+        out.append(slln_average(ref_step, ref_pi, law, w0, 40_000, observables, seed=seed))
     lo = np.maximum(np.array(out[0]["state_ci_low"]), np.array(out[1]["state_ci_low"]))
     hi = np.minimum(np.array(out[0]["state_ci_high"]), np.array(out[1]["state_ci_high"]))
     assert np.all(lo <= hi)
 
 
-def test_slln_symmetric_law_zero_mean(ref_S, ref_pi, ref_kick_matrix,
+def test_slln_symmetric_law_zero_mean(ref_step, ref_pi, ref_kick_matrix,
                                       ref_dichotomy, observables):
     # chain is invariant under w -> -w, so the stationary mean vanishes;
     # simultaneous (Bonferroni-adjusted) batch intervals must cover zero
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     from kickstab.ergodicity import _batch_ci
-    states = run_chain(ref_S, ref_pi, law, w0, 60_000, 33)
+    states = run_chain(ref_step, ref_pi, law, w0, 60_000, 33)
     _, lo, hi = _batch_ci(states[100:], n_batches=30, level=1 - 0.05 / REF["n"])
     assert np.all((lo <= 0) & (0 <= hi))
 
 
-def test_stationary_stats_reference(ref_S, ref_pi, ref_kick_matrix, ref_dichotomy,
+def test_stationary_stats_reference(ref_step, ref_pi, ref_kick_matrix, ref_dichotomy,
                                     ref_gamma0):
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 1.0, seed=3)
-    stats = stationary_stats(ref_S, ref_pi, law, w0, 20_000, burn_in=20, seed=41,
+    stats = stationary_stats(ref_step, ref_pi, law, w0, 20_000, burn_in=20, seed=41,
                              gamma0=ref_gamma0)
     assert np.linalg.eigvalsh(stats["cov"]).min() >= -1e-10
     post_norm_max = stats["norm_hist_edges"][-1]
@@ -242,15 +243,15 @@ def test_stationary_stats_reference(ref_S, ref_pi, ref_kick_matrix, ref_dichotom
     assert stats["n_post"] == 20_001 - 20
 
 
-def test_stationary_burn_in_floor_enforced(ref_S, ref_pi, ref_kick_matrix,
+def test_stationary_burn_in_floor_enforced(ref_step, ref_pi, ref_kick_matrix,
                                            ref_dichotomy):
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 1.0, seed=3)
     with pytest.raises(ValueError):
-        stationary_stats(ref_S, ref_pi, law, w0, 1000, burn_in=0, seed=1, gamma0=0.999)
+        stationary_stats(ref_step, ref_pi, law, w0, 1000, burn_in=0, seed=1, gamma0=0.999)
 
 
-def test_stationary_covariance_matches_lyapunov(ref_model, ref_S, ref_pi,
+def test_stationary_covariance_matches_lyapunov(ref_model, ref_step, ref_pi,
                                                 ref_kick_matrix, ref_dichotomy):
     # near-untruncated regime: the stationary covariance solves
     # Sigma = T Sigma T^T + Pi K Pi^T
@@ -258,11 +259,12 @@ def test_stationary_covariance_matches_lyapunov(ref_model, ref_S, ref_pi,
     eps_big = 10 * np.sqrt(np.trace(ref_pi.Pi_mat @ K @ ref_pi.Pi_mat.T))
     law = make_kick_law(K, eps_big, seed=REF["kick_seed"], norm_samples=0)
     D = ref_dichotomy.D
-    T = ref_S @ (np.eye(REF["n"]) - D @ D.T)   # S on X_sigma, zero on span D
+    # S on X_sigma, zero on span D
+    T = semigroup(ref_model, REF["tau"]) @ (np.eye(REF["n"]) - D @ D.T)
     Q = ref_pi.Pi_mat @ K @ ref_pi.Pi_mat.T
     Sigma = solve_discrete_lyapunov(T, Q)
     nrep, nsteps, burn = 24, 600, 40
-    states = run_ensemble(ref_S, ref_pi, law, np.zeros(REF["n"]), nrep, nsteps,
+    states = run_ensemble(ref_step, ref_pi, law, np.zeros(REF["n"]), nrep, nsteps,
                           seed=41)
     covs = np.array([np.cov(states[c, burn:, :].T, ddof=1) for c in range(nrep)])
     cmean = covs.mean(axis=0)
@@ -305,10 +307,10 @@ def energy_distance_test(X, Y, n_permutations=200, seed=0):
     return float(stat), float(p)
 
 
-def test_stationarity_energy_distance(ref_S, ref_pi, ref_kick_matrix, ref_dichotomy):
+def test_stationarity_energy_distance(ref_step, ref_pi, ref_kick_matrix, ref_dichotomy):
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
-    states = run_ensemble(ref_S, ref_pi, law, w0, 400, 60, seed=77)
+    states = run_ensemble(ref_step, ref_pi, law, w0, 400, 60, seed=77)
     stat, p = energy_distance_test(states[:200, 40, :], states[:200, 50, :],
                                    n_permutations=200, seed=3)
     assert p > 0.01

@@ -17,6 +17,7 @@ from kickstab.spectral import (
     riesz_projector,
     semigroup,
     sigma_ladder,
+    stable_step,
     tail_contraction,
 )
 from kickstab.config import config_from_dict
@@ -307,7 +308,7 @@ def test_semigroup_product_property(ref_model):
 def test_contraction_normal_case():
     A = np.diag([-1.0, 1.0, 2.0])
     d = eig_split(A, 0.5)
-    g0, ok = contraction_certificate(d, semigroup(A, 1.0))
+    g0, ok = contraction_certificate(stable_step(A, d, 1.0))
     assert ok
     assert abs(g0 - np.exp(-1.0)) < 1e-12
 
@@ -316,7 +317,7 @@ def test_contraction_nonnormal_transient():
     A = np.array([[1.0, 100.0], [0.0, 1.0]])
     d = eig_split(A, 0.5)   # no eigenvalue below 0.5: full space
     assert d.m == 0
-    g0, ok = contraction_certificate(d, semigroup(A, 0.01))
+    g0, ok = contraction_certificate(stable_step(A, d, 0.01))
     # dense norm oracle
     oracle = np.linalg.svd(expm(-0.01 * A), compute_uv=False)[0]
     assert abs(g0 - oracle) < 1e-12
@@ -324,9 +325,45 @@ def test_contraction_nonnormal_transient():
 
 
 def test_contraction_decreasing_in_tau(ref_model, ref_dichotomy):
-    vals = [contraction_certificate(ref_dichotomy, semigroup(ref_model, t))[0]
+    vals = [contraction_certificate(stable_step(ref_model, ref_dichotomy, t))[0]
             for t in (1.0, 2.0, 4.0)]
     assert vals[0] > vals[1] > vals[2]
+
+
+def test_stable_step_known_answer_where_projection_fails():
+    # A = Q diag(-12, lam_s) Q^T is normal, so on X_sigma gamma0 =
+    # e^{-tau min lam_s} and gamma_k = e^{-tau min(lam_s above sigma_k)}.  At
+    # tau = 4 the projection U^T S(tau) U of the full semigroup carries a
+    # roundoff of about 1e-16 e^{48} from the unstable mode
+    lam_s = np.array([2.6, 4.0, 4.6, 5.2, 6.0, 6.8, 7.5])
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))
+    A = Q @ np.diag(np.concatenate([[-12.0], lam_s])) @ Q.T
+    tau, sigma = 4.0, 2.5
+    dich, ladder = eig_split(A, sigma), sigma_ladder(A, sigma, 2)
+    step = stable_step(A, dich, tau)
+    gamma0, ok = contraction_certificate(step)
+    assert ok
+    assert abs(gamma0 / np.exp(-tau * lam_s.min()) - 1) < 1e-12
+    U = dich.stable_basis
+    projected = np.linalg.svd(U.T @ semigroup(A, tau) @ U, compute_uv=False)[0]
+    assert abs(projected - gamma0) > 1
+    expected = [np.exp(-tau * lam_s[lam_s > sk].min()) if np.any(lam_s > sk) else 0.0
+                for sk in ladder.sigma_list]
+    assert expected[0] > 0 and expected[-1] == 0.0   # one nontrivial tail, one empty
+    assert_allclose(tail_contraction(ladder, step), expected, rtol=1e-12, atol=0)
+
+
+def test_stable_step_is_the_semigroup_on_x_sigma(ref_model, ref_dichotomy):
+    # X_sigma is A-invariant, so U^T S(tau) U = e^{-tau U^T A U}; at tau = 2
+    # the projected route is still exact to roundoff
+    U = ref_dichotomy.stable_basis
+    A = ref_model.A
+    assert np.linalg.norm(A @ U - U @ (U.T @ A @ U)) < 1e-13
+    step = stable_step(ref_model, ref_dichotomy, 2.0)
+    assert step.U is U and step.tau == 2.0
+    assert_allclose(step.T, U.T @ semigroup(ref_model, 2.0) @ U, rtol=0, atol=1e-14)
+    sq = step.squared()
+    assert sq.tau == 4.0 and np.array_equal(sq.T, step.T @ step.T)
 
 
 def test_power_bound_on_stable_subspace(ref_model, ref_dichotomy, ref_gamma0):
@@ -387,7 +424,7 @@ def test_contour_fixed_rules_match_adaptive_quadrature(ref_model, ref_dichotomy)
         assert abs(I1 / J1 - 1) < 1e-9
         assert abs(I2 / J2 - 1) < 1e-4
         # the Dunford bound on S(tau) restricted to X_sigma
-        gamma0 = contraction_certificate(ref_dichotomy, semigroup(ref_model, tau))[0]
+        gamma0 = contraction_certificate(stable_step(ref_model, ref_dichotomy, tau))[0]
         assert gamma0 <= (I1 + I2) / (2 * np.pi)
 
 
@@ -565,7 +602,7 @@ def test_tail_contraction_diagonal_oracle():
     model = _selfadjoint_model(n=40, beta0=1.3)
     ladder = sigma_ladder(model, 0.5, 2)
     tau = 1.5
-    gammas = tail_contraction(ladder, semigroup(model, tau))
+    gammas = tail_contraction(ladder, stable_step(model, eig_split(model, 0.5), tau))
     mu = np.diag(model.A)
     for k, sk in enumerate(ladder.sigma_list, start=1):
         above = mu[mu > sk]
@@ -573,8 +610,8 @@ def test_tail_contraction_diagonal_oracle():
         assert abs(gammas[k - 1] - expected) < 1e-12
 
 
-def test_tail_contraction_reference(ref_S, ref_ladder, ref_gamma0):
-    gammas = tail_contraction(ref_ladder, ref_S)
+def test_tail_contraction_reference(ref_step, ref_ladder, ref_gamma0):
+    gammas = tail_contraction(ref_ladder, ref_step)
     assert gammas[0] > gammas[1] > gammas[2]
     assert gammas[-1] == 0.0   # exhausted level
     assert gammas[-1] < 0.5 * ref_gamma0
