@@ -227,10 +227,14 @@ class Pipeline:
         step = self.step(tau)
         gamma0, _ = contraction_certificate(step)
         w0 = stable_state(dich, cfg.run.w0_scale, cfg.run.w0_seed)
+        n_steps, n_unc = cfg.run.n_steps, cfg.run.uncontrolled_steps
+        # the blow-up demonstration runs first: scipy's OpenBLAS threads spin
+        # on after its expm and would slow numpy's OpenBLAS in the next stage
+        ev_min = model.eigvals().real.min()
+        demo = uncontrolled_demo(model, tau, law, w0, n_unc, cfg.run.seed) if ev_min < 0 else None
 
         # one chain on the run seed: trajectory.csv shows its first n_steps
         # steps, and the blow-up ratio reads its norm at uncontrolled_steps
-        n_steps, n_unc = cfg.run.n_steps, cfg.run.uncontrolled_steps
         states = run_chain(step, pi, law, w0, max(n_steps, n_unc), cfg.run.seed)
         norms = np.linalg.norm(states, axis=1)
         pt = self.path("trajectory.csv")
@@ -258,9 +262,8 @@ class Pipeline:
                         "Pi_hash": hash_arrays(pi.Pi_mat)})
 
         pb = self.path("blowup.json")
-        ev_min = model.eigvals().real.min()
-        if ev_min < 0:
-            norms_u, rate = uncontrolled_demo(model, tau, law, w0, n_unc, cfg.run.seed)
+        if demo is not None:
+            norms_u, rate = demo
             write_json(pb, {"applicable": True,
                             "growth_rate_per_step": rate,
                             "expected_rate": float(-tau * ev_min),
@@ -428,6 +431,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed-override", type=int, default=None,
                         help="override the simulation seeds (model seeds unchanged)")
     args = parser.parse_args(argv)
+    if args.seed_override is not None and args.seed_override < 0:
+        parser.error("--seed-override must be >= 0")
     try:
         cfg = load_config(args.config)
         out = args.out or cfg.output.dir

@@ -187,6 +187,14 @@ def test_unknown_subcommand_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_negative_seed_override_exits_2(tmp_path):
+    # a negative seed once reached SeedSequence in simulate and crashed it
+    path = small_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--config", path, "--out", str(tmp_path), "--seed-override", "-1"])
+    assert exc.value.code == 2
+
+
 def test_stage_crash_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
     # exit 1 means a verification check failed; a crash is a runtime error
     from kickstab.cli import Pipeline
@@ -263,8 +271,9 @@ def test_fast_unstable_mode_gamma0_decreasing_in_tau(tmp_path):
 def test_long_tau_stops_with_a_named_error(tmp_path, capsys):
     # run.tau = 1000: the X_sigma step is 0 to the last bit, while the
     # uncontrolled demonstration grows by e^{42} per step and overflows.  That
-    # stops simulate with BlowupOverflow, not a traceback; mixing, which
-    # projected the full S(1000) into NaN states, runs on the step
+    # stops simulate with BlowupOverflow, not a traceback, before it writes an
+    # artifact; mixing, which projected the full S(1000) into NaN states, runs
+    # on the step
     path = _write_config(tmp_path, {
         "kick": {"eps_hat": 0.01},
         "run": {"tau": 1000.0, "n_steps": 20, "n_chains": 10},
@@ -276,8 +285,9 @@ def test_long_tau_stops_with_a_named_error(tmp_path, capsys):
     cert = json.load(open(os.path.join(out, "certificate.json")))
     assert cert["gamma0"] == 0.0 and cert["contraction_ok"]
     assert main(["mixing", "--config", path, "--out", out]) == 0
-    assert main(["report", "--config", path, "--out", out]) == 3   # no blowup.json
-    assert "requires artifact blowup.json" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "trajectory.csv"))
+    assert main(["report", "--config", path, "--out", out]) == 3
+    assert "requires artifact envelope.json" in capsys.readouterr().err
 
 
 def test_all_builds_each_semigroup_once(tmp_path, monkeypatch):
