@@ -108,12 +108,12 @@ def _case(field, value, others=None, name=None):
     _case("run.seed", -1), _case("mixing.obs_seed", -1), _case("run.tau", float("nan")),
     _case("run.tau", float("inf")), _case("model.beta0", float("nan")),
     _case("mixing.w0_scale", float("nan")), _case("model.n", 20.5), _case("run.n_steps", 2.5),
-    _case("model.n", True)])
+    _case("run.n_steps", True)])
 def test_crashing_values_rejected_at_load(field, value, others):
     # each of these once passed validation and then crashed a stage with an
     # IndexError, TypeError, ValueError, ZeroDivisionError or LinAlgError (or,
     # for density.level = 0, silently read the top ladder level, for a dense
-    # K, silently ignored kick.scale, and for model.n = true, ran with n = 1)
+    # K, silently ignored kick.scale, and run.n_steps = true loaded as 1)
     doc = {"kick": {"eps_hat": 0.01}}
     for sec, vals in others.items():
         doc.setdefault(sec, {}).update(vals)
