@@ -54,7 +54,7 @@ from .ergodicity import (
     stable_state,
     stationary_stats,
 )
-from .errors import KickstabError, MissingPrerequisite
+from .errors import EmptyMiddleBlock, KickstabError, MissingPrerequisite
 from .feedback import build_pi, make_control_geometry
 from .kicks import make_kick_law
 from .model_builder import build_oseen, synth_stokes_spectrum
@@ -285,6 +285,10 @@ class Pipeline:
         else:
             alpha = cfg.explicit_alpha()
             K_proj = np.eye(alpha.shape[0] + alpha.shape[1])
+        if alpha.shape[0] == 0:   # nothing for the kick to be projected onto
+            level = cfg.density.level
+            raise EmptyMiddleBlock(f"the level-{level} middle block X_(sigma, sigma_{level}) is "
+                                   "empty (nm = 0): the projected kick has no density")
         dec = build_pi_decomposition(alpha)
         law = projected_law(K_proj, cfg.kick.eps_hat)
         quad = QuadratureSpec(radial=cfg.density.radial, angular=cfg.density.angular)

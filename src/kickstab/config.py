@@ -1,8 +1,11 @@
 """Experiment configuration: one JSON document, sections mirroring modules.
 
-Unknown keys are rejected; missing optional keys take defaults; every value
-that would crash a stage is rejected at load with a ValidationError naming
-its field (the sigma gap itself is verified by the dichotomy stage).
+Contract: every config that loads runs each stage or stops with a named
+KickstabError.  Missing keys take defaults.  An unknown key, a value not of
+its field's declared type (a bool is no number; null only where ``| None``),
+a float whose square is not finite, or a breach of a rule in _RULES or
+_validate raises a ValidationError naming the field.  The dichotomy stage
+checks the sigma gap.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
+from sys import float_info
 
 import numpy as np
 
@@ -47,7 +51,7 @@ class KickSection:
     power: float = 2.0
     scale: float | None = None      # diag only; None: scale so trace(K) = eps_hat^2
     entries: list | None = None     # dense row-major or explicit diagonal
-    eps_hat: float | None = None
+    eps_hat: float = None           # required
     seed: int = 7
 
 
@@ -137,16 +141,6 @@ class ExperimentConfig:
 _SECTIONS = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
-def _build_section(cls, data, path):
-    known = {f.name: f for f in fields(cls)}
-    out = cls()
-    for key, value in data.items():
-        if key not in known:
-            raise ValidationError(f"{path}.{key}", "unknown key")
-        setattr(out, key, value)
-    return out
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ValidationError("(root)", "config must be a JSON object")
@@ -156,59 +150,86 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ValidationError(key, "unknown section")
         if not isinstance(value, dict):
             raise ValidationError(key, "section must be an object")
-        setattr(cfg, key, _build_section(type(getattr(cfg, key)), value, key))
+        sec = getattr(cfg, key)
+        for name, v in value.items():
+            if name not in {f.name for f in fields(sec)}:
+                raise ValidationError(f"{key}.{name}", "unknown key")
+            setattr(sec, name, v)
     _validate(cfg)
     return cfg
 
 
-def _check_scalars(cfg: ExperimentConfig):
-    """Each int or float field holds its declared type: an int field an
-    integer (not a bool), a float field a finite number (not a bool); a field
-    declared ``| None`` may also be null.  Seeds must be non-negative."""
+# The rule of each single field, applied after its type: ">" and ">=" bound a
+# number, "in" lists the admissible values, "of" gives the type of each entry
+# of a list, and "rows of" that of each entry of a list or of its nested rows.
+# Every seed is >= 0.  The rules that tie fields together are in _validate.
+_RULES = {name: (op, bound) for name, op, bound in (
+    ("model.n", "in", range(1, 10_001)),   # an n x n matrix takes 0.8 GB at n = 10^4
+    ("model.d", "in", (2, 3)), ("model.beta0", ">", 0), ("model.remainder_scale", ">=", 0),
+    ("model.n_unstable", ">=", 0), ("model.sigma", ">", 0), ("model.obs_idx", "of", "int"),
+    ("kick.K", "in", ("diag", "dense")), ("kick.scale", ">", 0), ("kick.entries", "of", "float"),
+    ("kick.eps_hat", ">", 0), ("run.tau", ">", 0), ("run.n_steps", ">=", 1),
+    ("run.n_chains", ">=", 1), ("run.burn_in", ">=", 0), ("run.ladder_levels", ">=", 1),
+    ("run.uncontrolled_steps", ">=", 2),   # a line is fitted through the last half of the norms
+    ("density.alpha_source", "in", ("projection", "explicit")), ("density.level", ">=", 1),
+    ("density.alpha", "rows of", "float"), ("density.alpha_shape", "of", "int"),
+    ("density.radial", ">=", 1), ("density.angular", ">=", 1), ("density.grid_points", ">=", 1),
+    ("density.probe_points", ">=", 1), ("density.mc_oracle_samples", ">=", 10_000),
+    ("mixing.tau", ">", 0), ("mixing.n_chains", ">=", 2), ("mixing.n_steps", ">=", 1),
+    ("mixing.slln_steps", ">=", 30),   # slln_average's batch means need a step per batch
+    ("mixing.n_linear", ">=", 0), ("mixing.n_radial", ">=", 0))}
+_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number"),
+          "str": (str, "a string"), "list": (list, "a list")}
+
+
+def _check(name, kind, value):
+    """An int is an integer and a float a number, neither a bool; a float and
+    its square are finite (norms square it, and float ** raises on overflow)."""
+    cls, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, cls):
+        raise ValidationError(name, f"must be {noun}")
+    if kind == "float" and not abs(value) <= math.sqrt(float_info.max):   # not nan either
+        raise ValidationError(name, "must be finite, and so must its square")
+
+
+def _check_fields(cfg: ExperimentConfig):
+    """Each field holds its declared type (null only where ``| None``) and obeys _RULES."""
     for section in _SECTIONS:
         sec = getattr(cfg, section)
         for f in fields(sec):
             kind, _, optional = f.type.partition(" | ")
             value, name = getattr(sec, f.name), f"{section}.{f.name}"
-            if kind not in ("int", "float") or (value is None and optional):
+            if value is None and optional:
                 continue
-            number, noun = (Integral, "an integer") if kind == "int" else (Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, number):
-                raise ValidationError(name, f"must be {noun}")
-            if not math.isfinite(value):
-                raise ValidationError(name, "must be finite")
-            if "seed" in f.name and value < 0:
-                raise ValidationError(name, "must be >= 0")
+            if value is None:
+                raise ValidationError(name, "required")
+            _check(name, kind, value)
+            op, bound = _RULES.get(name, (">=" if "seed" in f.name else None, 0))
+            if op in ("of", "rows of"):
+                for v in value:
+                    for leaf in v if op == "rows of" and isinstance(v, list) else [v]:
+                        _check(name, bound, leaf)
+            elif op == "in" and value not in bound:
+                raise ValidationError(name, f"must be in {bound!r}")
+            elif op == ">" and not value > bound or op == ">=" and not value >= bound:
+                raise ValidationError(name, f"must be {op} {bound}")
 
 
 def _validate(cfg: ExperimentConfig):
-    _check_scalars(cfg)
-    m = cfg.model
-    if m.n < 1:
-        raise ValidationError("model.n", "must be >= 1")
-    if m.d not in (2, 3):
-        raise ValidationError("model.d", "must be 2 or 3")
-    if m.beta0 <= 0:
-        raise ValidationError("model.beta0", "must be positive")
-    if not 0 <= m.n_unstable < m.n:
-        raise ValidationError("model.n_unstable", "must satisfy 0 <= n_unstable < n")
-    if m.sigma <= 0:
-        raise ValidationError("model.sigma", "must be positive")
-    if any(not 0 <= i < m.n for i in m.obs_idx):
-        raise ValidationError("model.obs_idx", "indices out of range")
-    if cfg.kick.eps_hat is None:
-        raise ValidationError("kick.eps_hat", "required")
-    if cfg.kick.eps_hat <= 0:
-        raise ValidationError("kick.eps_hat", "must be positive")
-    k = cfg.kick
-    if k.K not in ("diag", "dense"):
-        raise ValidationError("kick.K", "must be 'diag' or 'dense'")
+    _check_fields(cfg)
+    m, k, dens, mix = cfg.model, cfg.kick, cfg.density, cfg.mixing
+    if m.n_unstable >= m.n:
+        raise ValidationError("model.n_unstable", "must be < model.n")
+    if m.remainder_scale >= m.beta0 * np.log(3.0):   # else a Stokes eigenvalue may be <= 0
+        raise ValidationError("model.remainder_scale", "must be < model.beta0 * ln 3")
+    if m.sigma >= np.exp(2.0 / m.d):
+        raise ValidationError("model.sigma", "must be < e^(2 / model.d), the first ladder segment")
+    if len(set(m.obs_idx)) < len(m.obs_idx) or not all(0 <= i < m.n for i in m.obs_idx):
+        raise ValidationError("model.obs_idx", "must be distinct indices in [0, model.n)")
     if k.entries is not None or k.K == "dense":
         size = m.n ** 2 if k.K == "dense" else m.n
         if k.entries is None or len(k.entries) != size:
             raise ValidationError("kick.entries", f"{k.K} K needs {size} entries")
-    if k.scale is not None and k.scale <= 0:
-        raise ValidationError("kick.scale", "must be positive")
     if k.K == "dense":
         if k.scale is not None:
             raise ValidationError("kick.scale", "a dense K is taken as given; drop kick.scale")
@@ -222,56 +243,22 @@ def _validate(cfg: ExperimentConfig):
         if not np.all(np.isfinite(diag) & (diag > 0)):
             field = "kick.entries" if k.entries is not None else "kick.power"
             raise ValidationError(field, "the diagonal of K must be finite and positive")
-    if cfg.run.tau <= 0:
-        raise ValidationError("run.tau", "must be positive")
-    if cfg.run.n_steps < 1:
-        raise ValidationError("run.n_steps", "must be >= 1")
-    if cfg.run.n_chains < 1:
-        raise ValidationError("run.n_chains", "must be >= 1")
-    if cfg.run.ladder_levels < 1:
-        raise ValidationError("run.ladder_levels", "must be >= 1")
-    if cfg.run.uncontrolled_steps < 2:
-        # the growth rate is a line fitted through the last half of the norms
-        raise ValidationError("run.uncontrolled_steps", "must be >= 2")
-    burn = cfg.run.burn_in
-    if burn is not None and not 0 <= burn < cfg.mixing.slln_steps:
-        raise ValidationError("run.burn_in", "must satisfy 0 <= burn_in < mixing.slln_steps")
-    if cfg.mixing.tau <= 0:
-        raise ValidationError("mixing.tau", "must be positive")
-    if cfg.mixing.n_chains < 2:
-        raise ValidationError("mixing.n_chains", "must be >= 2")
-    if cfg.mixing.slln_steps < 30:
-        # slln_average's batch-means intervals need a step per batch
-        raise ValidationError("mixing.slln_steps", "must be >= 30, the batch-means count")
-    for key in ("n_linear", "n_radial"):
-        if getattr(cfg.mixing, key) < 0:
-            raise ValidationError(f"mixing.{key}", "must be >= 0")
-    if cfg.mixing.n_linear + cfg.mixing.n_radial == 0:
+    if cfg.run.burn_in is not None and cfg.run.burn_in >= mix.slln_steps:
+        raise ValidationError("run.burn_in", "must be < mixing.slln_steps")
+    if mix.n_linear + mix.n_radial == 0:
         # d_k is a maximum over the observables
         raise ValidationError("mixing.n_linear", "mixing.n_linear + mixing.n_radial must be >= 1")
-    if cfg.density.alpha_source not in ("projection", "explicit"):
-        raise ValidationError("density.alpha_source", "must be 'projection' or 'explicit'")
-    if cfg.density.alpha_source == "explicit":
-        if cfg.density.alpha is None:
+    if dens.alpha_source == "explicit":
+        if dens.alpha is None:
             raise ValidationError("density.alpha", "required for explicit alpha_source")
         try:
             ndim = cfg.explicit_alpha().ndim
-        except ValueError as exc:   # its size does not fit alpha_shape
+        except ValueError as exc:   # ragged rows, or a size that does not fit alpha_shape
             raise ValidationError("density.alpha", str(exc)) from exc
         if ndim != 2:
             raise ValidationError("density.alpha", "must be 2-D (nm x m): nest it, or give alpha_shape")
-    if not 1 <= cfg.density.level <= cfg.run.ladder_levels:
-        raise ValidationError("density.level", "must satisfy 1 <= level <= run.ladder_levels")
-    if cfg.density.radial < 1:
-        raise ValidationError("density.radial", "must be >= 1")
-    if cfg.density.angular < 1:
-        raise ValidationError("density.angular", "must be >= 1")
-    if cfg.density.grid_points < 1:
-        raise ValidationError("density.grid_points", "must be >= 1")
-    if cfg.density.probe_points < 1:
-        raise ValidationError("density.probe_points", "must be >= 1")
-    if cfg.density.mc_oracle_samples < 10_000:
-        raise ValidationError("density.mc_oracle_samples", "must be >= 10^4")
+    if dens.level > cfg.run.ladder_levels:
+        raise ValidationError("density.level", "must be <= run.ladder_levels")
 
 
 def load_config(path) -> ExperimentConfig:

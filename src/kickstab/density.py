@@ -30,6 +30,7 @@ from .errors import (
     NotInterior,
     ProbeOffBoundary,
     QuadratureUnsupported,
+    RejectionCap,
 )
 from .kicks import ball_mass
 
@@ -353,7 +354,8 @@ def mc_density_oracle(dec, law, points, n_samples, seed=0):
 
     ``points`` has shape (k, nm).  Returns one (estimate, standard error) per
     point; each equals, bit for bit, the result for that point alone.
-    Requires n_samples >= 10^4.
+    Requires n_samples >= 10^4; raises RejectionCap when no draw falls in the
+    ball.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10^4")
@@ -367,7 +369,7 @@ def mc_density_oracle(dec, law, points, n_samples, seed=0):
     b = np.einsum("ij,ij->i", z, z) <= law.eps ** 2
     p_hat = float(np.mean(b))
     if p_hat == 0.0:
-        raise ValueError("no draw fell in the eps-ball; raise n_samples")
+        raise RejectionCap(f"none of {n_samples} draws fell in the eps-ball; raise n_samples")
     u = z[:, :m]
     # v | u ~ N(C u, S): C = K_vu K_uu^-1, S = K_vv - C K_uv
     C = np.linalg.solve(K[:m, :m], K[:m, m:]).T

@@ -25,7 +25,7 @@ from .density import (
     projected_law,
     tv_lipschitz_ratio,
 )
-from .errors import BurnInBelowFloor
+from .errors import BurnInBelowFloor, BurnInExceedsChain
 from .spectral import contraction_certificate, tail_contraction
 
 __all__ = [
@@ -211,12 +211,16 @@ def stationary_stats(step, pi, law, w0, n_steps, burn_in, seed, gamma0=None) -> 
 
     burn_in must dominate the deterministic transient
     ceil(log(eps_hat/||w0||)/log gamma0) when gamma0 is supplied; below it
-    raises BurnInBelowFloor.
+    raises BurnInBelowFloor.  It must also leave two of the n_steps + 1 states
+    for the covariance: burn_in >= n_steps raises BurnInExceedsChain.
     """
     if gamma0 is not None:
         floor = burn_in_floor(law.eps_hat, float(np.linalg.norm(w0)), gamma0)
         if burn_in < floor:
             raise BurnInBelowFloor(f"burn_in {burn_in} below the transient floor {floor}")
+    if burn_in >= n_steps:
+        raise BurnInExceedsChain(f"burn_in {burn_in} leaves fewer than two states of the "
+                                 f"{n_steps}-step chain")
     states = run_chain(step, pi, law, w0, n_steps, seed)
     post = states[burn_in:]
     norms = np.linalg.norm(post, axis=1)

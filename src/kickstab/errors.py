@@ -69,6 +69,14 @@ class BurnInBelowFloor(KickstabError, ValueError):
     """A burn-in is shorter than the deterministic transient of the chain."""
 
 
+class BurnInExceedsChain(KickstabError):
+    """A burn-in leaves fewer than two states of the chain to average."""
+
+
+class EmptyMiddleBlock(KickstabError):
+    """The density level's middle block X_{sigma sigma_k} has no mode (nm = 0)."""
+
+
 class MissingPrerequisite(KickstabError):
     """A pipeline stage was invoked before its prerequisite artifacts exist."""
 

@@ -150,13 +150,15 @@ def ball_mass(cov_eigs, radius) -> float:
     The c_k are nonnegative and sum to 1, and F decreases in d, so after K
     terms the rest is at most (1 - sum c) F_{n+2K}; the sum stops when that
     bound is below 1e-15.  Raises DegenerateCovariance when it has not after
-    _RUBEN_MAX_TERMS terms (a near-singular covariance).
+    _RUBEN_MAX_TERMS terms (a near-singular covariance), or when an
+    eigenvalue is not positive (a singular one, read through roundoff).
     """
     lam = np.asarray(cov_eigs, dtype=float)
     if lam.size == 0:
         return 1.0
     if np.any(lam <= 0):
-        raise ValueError("covariance eigenvalues must be positive")
+        raise DegenerateCovariance(
+            f"covariance eigenvalues must be positive; the smallest is {lam.min():.3e}")
     n = lam.size
     beta = float(lam.min())
     x = float(radius) ** 2 / beta

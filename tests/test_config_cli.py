@@ -1,15 +1,19 @@
 """Config loading/validation and the staged pipeline runner."""
 
 import json
+import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickstab.artifacts import emit_series, file_checksum
-from kickstab.cli import main
-from kickstab.config import config_from_dict, load_config, save_config
-from kickstab.errors import ParseError, ValidationError
+from kickstab.cli import Pipeline, main
+from kickstab.config import ExperimentConfig, config_from_dict, load_config, save_config
+from kickstab.errors import DegenerateCovariance, EmptyMiddleBlock, ParseError, ValidationError
 
 
 def small_config(tmp_path, **overrides):
@@ -108,12 +112,26 @@ def _case(field, value, others=None, name=None):
     _case("run.seed", -1), _case("mixing.obs_seed", -1), _case("run.tau", float("nan")),
     _case("run.tau", float("inf")), _case("model.beta0", float("nan")),
     _case("mixing.w0_scale", float("nan")), _case("model.n", 20.5), _case("run.n_steps", 2.5),
-    _case("run.n_steps", True)])
+    _case("run.n_steps", True), _case("model.remainder_scale", -0.1),
+    _case("model.remainder_scale", 5.0), _case("model.beta0", 1e-9), _case("model.sigma", 1e6),
+    _case("kick.eps_hat", 1e300), _case("mixing.n_steps", -1), _case("model.obs_idx", [1.5]),
+    _case("model.obs_idx", [10, 10]), _case("model.obs_idx", [True]),
+    _case("model.beta0", 10 ** 400, name="model.beta0-int_past_float_range"),
+    _case("model.n", 10 ** 6), _case("kick.entries", ["1.0"] * 20, name="kick.entries-strings"),
+    _case("density.alpha", [[0.5], None], _EXPLICIT, name="density.alpha-null_row"),
+    _case("density.alpha_shape", [2.0, 1.0], {"density": {"alpha_source": "explicit",
+                                                           "alpha": [0.5, -0.2]}},
+          name="density.alpha_shape-floats"),
+    _case("output.dir", 5), _case("run.w0_scale", 1e300), _case("mixing.w0_scale", 1e200)])
 def test_crashing_values_rejected_at_load(field, value, others):
     # each of these once passed validation and then crashed a stage with an
     # IndexError, TypeError, ValueError, ZeroDivisionError or LinAlgError (or,
     # for density.level = 0, silently read the top ladder level, for a dense
-    # K, silently ignored kick.scale, and run.n_steps = true loaded as 1)
+    # K, silently ignored kick.scale, and run.n_steps = true loaded as 1);
+    # kick.eps_hat = 1e300, model.n = 10^6, an integer past the float range and
+    # the non-numeric list entries crashed the validation itself (eps_hat^2
+    # overflowed, and the n x n kick matrix did not fit in memory); a w0_scale
+    # whose square overflows made ||w0|| inf, so w0 read as outside X_sigma
     doc = {"kick": {"eps_hat": 0.01}}
     for sec, vals in others.items():
         doc.setdefault(sec, {}).update(vals)
@@ -141,6 +159,47 @@ def test_edge_values_accepted_at_load():
                                         "alpha": [0.5, -0.2], "alpha_shape": [2, 1]},
                             "mixing": {"n_linear": 0, "n_radial": 1}})
     assert cfg.explicit_alpha().shape == (2, 1)
+    # a spectrum with no remainder, sigma just below the first ladder segment
+    # e^(2/d) in both dimensions, and no observed coordinate
+    for d in (2, 3):
+        below = float(np.nextafter(np.exp(2.0 / d), 0.0))
+        cfg = config_from_dict({"kick": {"eps_hat": 0.01},
+                                "model": {"d": d, "remainder_scale": 0.0, "sigma": below,
+                                          "obs_idx": []}})
+        assert (cfg.model.sigma, cfg.model.obs_idx) == (below, [])
+    with pytest.raises(ValidationError, match="model.sigma"):
+        config_from_dict({"kick": {"eps_hat": 0.01}, "model": {"sigma": float(np.e)}})
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-3, 40),
+                     st.floats(), st.floats(0.01, 2.0), st.text(max_size=3))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4), st.lists(st.integers(0, 25)),
+                    st.lists(st.lists(_SCALARS, max_size=3), max_size=3))
+_FIELDS = [(sec.name, f.name) for sec in fields(ExperimentConfig)
+           for f in fields(sec.default_factory())]
+_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FIELDS), _VALUES), max_size=3))
+def test_config_loads_or_raises_validation_error(changes):
+    # any value in up to three fields of a loadable config: it either loads,
+    # with every field of its declared type and every float field finite, or
+    # raises ValidationError, and nothing else
+    doc = {"kick": {"eps_hat": 0.01}}
+    for (section, key), value in changes:
+        doc.setdefault(section, {})[key] = value
+    try:
+        cfg = config_from_dict(doc)
+    except ValidationError:
+        return
+    for sec in fields(cfg):
+        for f in fields(getattr(cfg, sec.name)):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(getattr(cfg, sec.name), f.name)
+            assert (value is None and optional) or type(value) in _KINDS[kind]
+            if kind == "float" and value is not None:
+                assert math.isfinite(value)
 
 
 def test_parse_error_reports_location(tmp_path):
@@ -427,6 +486,30 @@ def test_burn_in_below_floor_stops_mixing_with_named_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["mixing", "--config", path, "--out", out]) == 3
     assert "below the transient floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, error", [
+    pytest.param({"kick": {"power": 50.0}}, DegenerateCovariance, id="kick.power-50"),
+    pytest.param({"model": {"n_unstable": 3, "b": 2.0}}, EmptyMiddleBlock, id="empty_middle_block"),
+])
+def test_density_stops_with_named_error(tmp_path, capsys, doc, error):
+    # kick.power = 50: roundoff leaves the projected kick covariance an
+    # eigenvalue of -1.5e-23, which ball_mass raised on as a bare ValueError.
+    # n_unstable = 3 with b = 2: no eigenvalue has its real part in
+    # [sigma, sigma_1), so the level-1 middle block is empty (nm = 0), which
+    # the mass quadrature reported as "implemented for nm <= 2, got nm=0"
+    doc = dict(doc, kick=dict(doc.get("kick", {}), eps_hat=0.01))
+    path = _write_config(tmp_path, doc)
+    out = os.path.join(tmp_path, "out")
+    for stage in ("synth", "dichotomy"):
+        assert main([stage, "--config", path, "--out", out]) == 0
+    pipe = Pipeline(load_config(path), out)
+    with pytest.raises(error):
+        pipe.run_stage("density")
+    capsys.readouterr()
+    assert main(["density", "--config", path, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_seed_override_leaves_caller_config(tmp_path):

@@ -26,7 +26,7 @@ from kickstab.density import (
     support_grid,
     tv_lipschitz_ratio,
 )
-from kickstab.errors import NotInterior, ProbeOffBoundary
+from kickstab.errors import NotInterior, ProbeOffBoundary, RejectionCap
 from tests.conftest import support_ellipsoid_membership
 
 
@@ -393,6 +393,10 @@ def test_mc_oracle_batch_matches_single_points(dec12, law12):
 def test_mc_oracle_sample_floor(dec12, law12):
     with pytest.raises(ValueError):
         mc_density_oracle(dec12, law12, np.zeros(2), 100)
+    # an explicit alpha takes K = I: at eps = 0.01 the ball holds a draw with
+    # probability ~3e-7, and a stage once stopped here with a bare ValueError
+    with pytest.raises(RejectionCap, match="none of 10000 draws"):
+        mc_density_oracle(dec12, projected_law(np.eye(3), 0.01), np.zeros((1, 2)), 10_000)
 
 
 # -- boundary Lagrange step -----------------------------------------------------

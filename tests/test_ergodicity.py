@@ -23,6 +23,7 @@ from kickstab.ergodicity import (
     stable_state,
     stationary_stats,
 )
+from kickstab.errors import BurnInExceedsChain
 from kickstab.kicks import make_kick_law
 from kickstab.spectral import semigroup, stable_step
 from tests.conftest import REF
@@ -249,6 +250,13 @@ def test_stationary_burn_in_floor_enforced(ref_step, ref_pi, ref_kick_matrix,
     w0 = stable_state(ref_dichotomy, 1.0, seed=3)
     with pytest.raises(ValueError):
         stationary_stats(ref_step, ref_pi, law, w0, 1000, burn_in=0, seed=1, gamma0=0.999)
+    # run.tau = 1e-9 put the transient floor at 1.4e9 steps: a burn-in that
+    # long left no state, and eigvalsh failed on the empty covariance
+    for burn_in in (200, 1_408_278_407):
+        with pytest.raises(BurnInExceedsChain, match=f"burn_in {burn_in} .* 200-step"):
+            stationary_stats(ref_step, ref_pi, law, w0, 200, burn_in=burn_in, seed=1)
+    stats = stationary_stats(ref_step, ref_pi, law, w0, 200, burn_in=199, seed=1)
+    assert stats["n_post"] == 2 and np.all(np.isfinite(stats["cov"]))
 
 
 def test_stationary_covariance_matches_lyapunov(ref_model, ref_step, ref_pi,

@@ -188,6 +188,11 @@ def test_ball_mass_near_singular_raises():
     # reach its tail bound within its term cap
     with pytest.raises(DegenerateCovariance, match="did not converge"):
         ball_mass([1.0, 1e-5], 300.0)
+    # kick.power = 50 left the projected kick covariance an eigenvalue of
+    # -1.5e-23 through roundoff: a singular covariance, named as one
+    for lam in ([1.0, -1.5e-23], [1.0, 0.0]):
+        with pytest.raises(DegenerateCovariance, match="must be positive"):
+            ball_mass(lam, 0.01)
 
 
 def test_ball_mass_against_mc():
