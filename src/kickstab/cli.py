@@ -284,7 +284,9 @@ class Pipeline:
             K_proj = projected_kick_covariance(self.cfg.kick_matrix(), ladder, cfg.density.level)
         else:
             alpha = cfg.explicit_alpha()
-            K_proj = np.eye(alpha.shape[0] + alpha.shape[1])
+            # the kick section's own scale: an isotropic K with trace eps_hat^2
+            n_kick = alpha.shape[0] + alpha.shape[1]
+            K_proj = (cfg.kick.eps_hat ** 2 / n_kick) * np.eye(n_kick)
         if alpha.shape[0] == 0:   # nothing for the kick to be projected onto
             level = cfg.density.level
             raise EmptyMiddleBlock(f"the level-{level} middle block X_(sigma, sigma_{level}) is "

@@ -226,6 +226,8 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("model.sigma", "must be < e^(2 / model.d), the first ladder segment")
     if len(set(m.obs_idx)) < len(m.obs_idx) or not all(0 <= i < m.n for i in m.obs_idx):
         raise ValidationError("model.obs_idx", "must be distinct indices in [0, model.n)")
+    if k.eps_hat ** 2 == 0.0:   # the eps-ball and the default K scale with eps_hat^2
+        raise ValidationError("kick.eps_hat", "its square underflows to 0")
     if k.entries is not None or k.K == "dense":
         size = m.n ** 2 if k.K == "dense" else m.n
         if k.entries is None or len(k.entries) != size:

@@ -1,20 +1,28 @@
 """Pushforward density of the projected truncated Gaussian.
 
-The projection pi = (alpha, E) maps R^n = R^m (+) R^nm onto R^nm.  Its
-fibers cut the truncation ball in m-dimensional disks; the pushforward
-density is the slice integral
+The projection pi = (alpha, E) maps a kick (u, v) in R^m (+) R^nm to
+x = alpha u + v.  The substitution (u, v) -> (u, x) has Jacobian 1, so the
+density of x is the slice integral
 
-    P(x) = c_hat * J * int_{slice(x)} g(R^T (w, x)) dw,
+    P(x) = c_hat * int g(u, x - alpha u) du  over  |u|^2 + |x - alpha u|^2 <= eps^2,
 
-where g is the Gaussian density of the projected law, R maps slice/offset
-coordinates to the orthonormal eigenbasis b_1..b_n adapted to alpha, and
-J = prod_i (1 + ||alpha b_i||^2)^{-1/2} = det R^T is the change-of-variables
-Jacobian.  c_hat is exact in any dimension (``kicks.ball_mass``).  One kernel
-evaluates the Gaussian over a block of slices and unit-ball nodes; the
-density, its mass and the analytic first variation all use it.  Slice
-centers and radii, the boundary Lagrange step, the m/2 boundary exponent
-probe, the first variation, and the total-variation Lipschitz ratio all
-live here.
+where g is the Gaussian density of the projected law and c_hat is exact in
+any dimension (``kicks.ball_mass``).  With H = I + alpha^T alpha = V diag(mu)
+V^T the slice is the ellipsoid (u - u_hat)^T H (u - u_hat) <= r^2, centered
+at u_hat = G x, G = H^{-1} alpha^T, with r^2 = eps^2 - x^T M x and
+M = I - alpha G.  So u = u_hat + r C nu over the fixed unit ball |nu| <= 1,
+with C = V diag(mu^{-1/2}) and du = J r^m dnu, J = |det C|:
+
+    P(x) = c_hat * J * r^m * int_{|nu| <= 1} g(z_c + r W nu) dnu,
+
+z_c = (u_hat, x - alpha u_hat) and W = [C; -alpha C], whose columns are
+orthonormal and span the fiber ker pi.  The ball does not move with x, so
+the first variation is the derivative under the integral sign: r^m and the
+integrand are smooth in x inside the support.  One kernel evaluates g over a
+block of slices and unit-ball nodes; the density, its mass and the analytic
+first variation all use it.  Slice centers and radii, the boundary Lagrange
+step, the m/2 boundary exponent probe, the first variation, and the
+total-variation Lipschitz ratio all live here.
 """
 
 from __future__ import annotations
@@ -64,39 +72,29 @@ BLOCK_ENTRIES = 1 << 21
 
 @dataclass(frozen=True)
 class PiDecomposition:
-    """Eigen-adapted bases and change of variables for pi = (alpha, E)."""
+    """Slice center map and fiber map of pi = (alpha, E), in kick coordinates."""
 
     m: int
     nm: int
     alpha: np.ndarray        # nm x m
     mu: np.ndarray           # eigenvalues of E + alpha^T alpha, descending
     s: int                   # count of mu > 1 (strict, threshold 1e-10)
-    n_degenerate: int        # near-1 eigenvalues clamped to 1
-    b_basis: np.ndarray      # n x n orthonormal columns b_1..b_n (std coords)
-    theta_basis: np.ndarray  # n x n columns theta_1..theta_n (std coords)
-    R: np.ndarray            # n x n, theta_i = sum_j R_ij b_j
-    J: float                 # det R^T = prod_{i<=s} mu_i^{-1/2}
-    alpha_b_norms: np.ndarray  # ||alpha b_i||, i = 1..m
+    J: float                 # |det C| = prod_{i<=s} mu_i^{-1/2}
+    G: np.ndarray            # m x nm, (E + alpha^T alpha)^{-1} alpha^T: u_hat = G x
+    C: np.ndarray            # m x m, V diag(mu^{-1/2}): u = u_hat + r C nu
 
     @property
     def n(self) -> int:
         return self.m + self.nm
 
     @property
-    def B2(self) -> np.ndarray:
-        """Orthonormal basis of the offset block (nm x nm, std coords)."""
-        return self.b_basis[self.m:, self.m:]
-
-    @property
-    def theta_slice(self) -> np.ndarray:
-        """theta_1..theta_m, the orthonormal basis of the fiber direction."""
-        return self.theta_basis[:, :self.m]
+    def W(self) -> np.ndarray:
+        """[C; -alpha C] (n x m): orthonormal columns spanning the fiber ker pi."""
+        return np.concatenate([self.C, -self.alpha @ self.C])
 
     def support_quadform(self) -> np.ndarray:
         """Matrix M of the support ellipsoid {x : x^T M x <= eps^2}."""
-        a = self.alpha
-        G = np.linalg.solve(np.eye(self.m) + a.T @ a, a.T)
-        return np.eye(self.nm) - a @ G
+        return np.eye(self.nm) - self.alpha @ self.G
 
 
 @dataclass(frozen=True)
@@ -132,46 +130,23 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 def build_pi_decomposition(alpha) -> PiDecomposition:
-    """Symmetric eigensolve of E + alpha^T alpha and basis assembly."""
+    """Symmetric eigensolve of E + alpha^T alpha; the center map G and fiber map C."""
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     nm, m = alpha.shape
-    evals, evecs = np.linalg.eigh(np.eye(m) + alpha.T @ alpha)
+    H = np.eye(m) + alpha.T @ alpha
+    evals, evecs = np.linalg.eigh(H)
     order = np.argsort(evals)[::-1]
-    mu = evals[order]
+    mu = np.maximum(evals[order], 1.0)
     V = evecs[:, order]
-    n_degenerate = int(np.sum((mu > 1.0) & (mu <= 1.0 + S_THRESHOLD)))
-    mu = np.maximum(mu, 1.0)
     s = int(np.sum(mu > 1.0 + S_THRESHOLD))
     # deterministic eigenvector signs
     for i in range(m):
         k = int(np.argmax(np.abs(V[:, i])))
         if V[k, i] < 0:
             V[:, i] = -V[:, i]
-    n = m + nm
-    alpha_b = alpha @ V                      # nm x m
-    norms = np.linalg.norm(alpha_b, axis=0)
-    B = np.zeros((n, n))
-    B[:m, :m] = V
-    for i in range(s):
-        B[m:, m + i] = alpha_b[:, i] / norms[i]
-    # complete the offset block with an orthonormal basis of ker alpha^T
-    if nm > s:
-        img = B[m:, m:m + s]
-        Umat = np.linalg.svd(img, full_matrices=True)[0] if s else np.eye(nm)
-        B[m:, m + s:] = Umat[:, s:]
-    theta = np.zeros((n, n))
-    for i in range(m):
-        theta[:m, i] = V[:, i] / np.sqrt(mu[i])
-        theta[m:, i] = -alpha_b[:, i] / np.sqrt(mu[i])
-    theta[:, m:] = B[:, m:]
-    R = np.eye(n)
-    for i in range(s):
-        R[i, i] = mu[i] ** -0.5
-        R[i, m + i] = -norms[i] / np.sqrt(mu[i])
-    J = float(np.prod(mu[:s] ** -0.5)) if s else 1.0
     return PiDecomposition(m=m, nm=nm, alpha=alpha, mu=mu, s=s,
-                           n_degenerate=n_degenerate, b_basis=B,
-                           theta_basis=theta, R=R, J=J, alpha_b_norms=norms)
+                           J=float(np.prod(mu[:s] ** -0.5)),
+                           G=np.linalg.solve(H, alpha.T), C=V / np.sqrt(mu))
 
 
 def projected_law(K, eps, c_hat=None) -> ProjectedLaw:
@@ -185,10 +160,8 @@ def projected_law(K, eps, c_hat=None) -> ProjectedLaw:
 def slice_geometry(dec, eps, x) -> SliceGeometry:
     """Center and radius of the fiber slice; classification against the ball."""
     x = np.asarray(x, dtype=float)
-    a = dec.alpha
-    uhat = np.linalg.solve(np.eye(dec.m) + a.T @ a, a.T @ x)
-    vhat = x - a @ uhat
-    rad2 = eps ** 2 - uhat @ uhat - vhat @ vhat
+    zc, rad2 = _slice_coords(dec, eps, x[None, :])
+    rad2 = float(rad2[0])
     tol = 1e-8 * eps ** 2
     if rad2 < -tol:
         cls, r = "outside", float("nan")
@@ -196,42 +169,36 @@ def slice_geometry(dec, eps, x) -> SliceGeometry:
         cls, r = "interior", float(np.sqrt(rad2))
     else:
         cls, r = "boundary", float(np.sqrt(max(rad2, 0.0)))
-    return SliceGeometry(x=x, classification=cls,
-                         center=np.concatenate([uhat, vhat]), radius=r)
+    return SliceGeometry(x=x, classification=cls, center=zc[0], radius=r)
 
 
-def _slice_precision(dec, law):
-    """Precision Q = R Kb^-1 R^T in (theta, offset) coordinates z, and the log normalizer."""
-    Kb = dec.b_basis.T @ law.K @ dec.b_basis
-    sign, logdet = np.linalg.slogdet(Kb)
+def _slice_precision(law):
+    """Precision K^-1 of the projected Gaussian, and its log normalizer."""
+    sign, logdet = np.linalg.slogdet(law.K)
     if sign <= 0:
         raise ValueError("projected covariance must be positive definite")
-    lognorm = -0.5 * (dec.n * np.log(2 * np.pi) + logdet)
-    return dec.R @ np.linalg.inv(Kb) @ dec.R.T, lognorm
+    lognorm = -0.5 * (len(law.K) * np.log(2 * np.pi) + logdet)
+    return np.linalg.inv(law.K), lognorm
 
 
 def _slice_coords(dec, eps, xs):
-    """Per row of xs: slice center z_c = (w_c, B2^T x) in (theta, offset) coords, squared radius."""
-    a = dec.alpha
-    U = xs @ np.linalg.solve(np.eye(dec.m) + a.T @ a, a.T).T   # (N, m)
-    V = xs - U @ a.T                                          # (N, nm)
-    rad2 = eps ** 2 - np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", V, V)
-    w_c = np.concatenate([U, -U @ a.T], axis=1) @ dec.theta_slice
-    return np.concatenate([w_c, xs @ dec.B2], axis=1), rad2
+    """Per row of xs: slice center z_c = (u_hat, x - alpha u_hat) and squared radius."""
+    U = xs @ dec.G.T                                           # (N, m)
+    zc = np.concatenate([U, xs - U @ dec.alpha.T], axis=1)     # (N, n)
+    return zc, eps ** 2 - np.einsum("ij,ij->i", zc, zc)
 
 
-def _slice_gauss(Q, lognorm, zc, r, nodes):
-    """Gaussian density at z = z_c + r (nu, 0), per slice (row) and node nu: (points, nodes).
+def _slice_gauss(Kinv, lognorm, W, zc, r, nodes):
+    """Gaussian density at z = z_c + r W nu, per slice (row) and node nu: (points, nodes).
 
-    The exponent expands over the fiber block as
-    z_c^T Q z_c + 2 r (Q z_c)_{:m} . nu + r^2 nu^T Q_mm nu,
+    The exponent expands as
+    z_c^T K^-1 z_c + 2 r (W^T K^-1 z_c) . nu + r^2 nu^T (W^T K^-1 W) nu,
     so the whole block is one (points x (m+2)) by ((m+2) x nodes) product.
     """
-    m = nodes.shape[1]
-    Qz = zc @ Q
-    coef = np.column_stack([-r[:, None] * Qz[:, :m], -0.5 * r ** 2,
-                            lognorm - 0.5 * np.einsum("ij,ij->i", Qz, zc)])
-    basis = np.column_stack([nodes, np.einsum("ij,jk,ik->i", nodes, Q[:m, :m], nodes),
+    Kz = zc @ Kinv
+    coef = np.column_stack([-r[:, None] * (Kz @ W), -0.5 * r ** 2,
+                            lognorm - 0.5 * np.einsum("ij,ij->i", Kz, zc)])
+    basis = np.column_stack([nodes, np.einsum("ij,jk,ik->i", nodes, W.T @ Kinv @ W, nodes),
                              np.ones(len(nodes))])
     block = coef @ basis.T
     return np.exp(block, out=block)
@@ -294,13 +261,14 @@ def density_batch(dec, law, xs, quad=DEFAULT_QUAD) -> np.ndarray:
     if not len(inside):
         return out
     nodes, weights = _unit_ball_rule(dec.m, quad)
-    Q, lognorm = _slice_precision(dec, law)
+    Kinv, lognorm = _slice_precision(law)
+    W = dec.W
     step = max(1, BLOCK_ENTRIES // len(weights))
     for lo in range(0, len(inside), step):
         idx = inside[lo:lo + step]
         r = np.sqrt(rad2[idx])
-        G = _slice_gauss(Q, lognorm, zc[idx], r, nodes)
-        out[idx] = law.c_hat * dec.J * (r ** dec.m) * (G @ weights)
+        g = _slice_gauss(Kinv, lognorm, W, zc[idx], r, nodes)
+        out[idx] = law.c_hat * dec.J * (r ** dec.m) * (g @ weights)
     return out
 
 
@@ -350,7 +318,7 @@ def mc_density_oracle(dec, law, points, n_samples, seed=0):
     error is the delta-method error of the ratio,
     sqrt(mean((f_i - est b_i)^2) / N) / p_hat with b_i the ball indicator, so
     it includes the error of p_hat; for m = 0 that term is all of it.  Uses
-    neither R, J nor the slice quadrature.
+    neither C, J nor the slice quadrature.
 
     ``points`` has shape (k, nm).  Returns one (estimate, standard error) per
     point; each equals, bit for bit, the result for that point alone.
@@ -394,37 +362,25 @@ def _mc_point(x, ua, uc, uu, b, S_inv, logdet, eps2, p_hat):
     return est, se
 
 
-def _boundary_decompose(dec, x):
-    """x = x0 + sum_j x_j alpha b_j with x0 in ker alpha^T."""
-    coeffs = np.zeros(dec.s)
-    x0 = np.asarray(x, dtype=float).copy()
-    for j in range(dec.s):
-        direction = dec.b_basis[dec.m:, dec.m + j]
-        cj = float(direction @ x) / dec.alpha_b_norms[j]
-        coeffs[j] = cj
-        x0 -= cj * dec.alpha_b_norms[j] * direction
-    return x0, coeffs
-
-
 def lagrange_boundary_step(dec, x, gamma0):
     """Inward step of norm gamma0 maximizing the slice radius (unique optimum).
 
-    Solves the multiplier equation
-        ||x0||^2/(1+lam)^2 + sum_j x_j^2 ||alpha b_j||^2 / (1+lam mu_j)^2
-            = gamma0^2
-    by monotone bisection with geometric bracket expansion, then assembles
-    h_hat = -x0/(1+lam) - sum_j x_j/(1+lam mu_j) alpha b_j.
+    The step minimizes (x + h)^T M (x + h) on ||h|| = gamma0, so
+    M (x + h) + lam h = 0.  In the eigenbasis Q of M, with y = Q^T x and w
+    the eigenvalues of M^{-1} = E + alpha alpha^T (1 on ker alpha^T, mu_j on
+    alpha V_j; taken from M^{-1}, whose form has no cancellation), the step
+    is h_hat = -Q (y / (1 + lam w)), and the multiplier equation
+        sum_i y_i^2 / (1 + lam w_i)^2 = gamma0^2
+    is solved by monotone bisection with geometric bracket expansion.
     """
     x = np.asarray(x, dtype=float)
-    x0, coeffs = _boundary_decompose(dec, x)
-    nx0 = float(x0 @ x0)
-    terms = coeffs ** 2 * dec.alpha_b_norms[:dec.s] ** 2
-    mus = dec.mu[:dec.s]
-    if gamma0 <= 0 or gamma0 ** 2 >= nx0 + terms.sum():
+    w, Q = np.linalg.eigh(np.eye(dec.nm) + dec.alpha @ dec.alpha.T)
+    y = Q.T @ x
+    if gamma0 <= 0 or gamma0 ** 2 >= x @ x:
         raise ValueError("gamma0 must satisfy 0 < gamma0 < ||x||")
 
     def radius2(lam):
-        return nx0 / (1 + lam) ** 2 + float(np.sum(terms / (1 + lam * mus) ** 2))
+        return float(np.sum(y ** 2 / (1 + lam * w) ** 2))
 
     target = gamma0 ** 2
     lo, hi = 0.0, 1.0
@@ -443,11 +399,7 @@ def lagrange_boundary_step(dec, x, gamma0):
         if hi - lo < 1e-16 * (1.0 + hi) and abs(radius2(hi) - target) < 1e-12:
             break
     lam = 0.5 * (lo + hi)
-    h = -x0 / (1 + lam)
-    for j in range(dec.s):
-        direction = dec.b_basis[dec.m:, dec.m + j] * dec.alpha_b_norms[j]
-        h = h - coeffs[j] / (1 + lam * mus[j]) * direction
-    return h, float(lam)
+    return -Q @ (y / (1 + lam * w)), float(lam)
 
 
 def boundary_exponent_probe(dec, law, x_boundary, h_norms=None, quad=DEFAULT_QUAD) -> dict:
@@ -484,56 +436,36 @@ def boundary_exponent_probe(dec, law, x_boundary, h_norms=None, quad=DEFAULT_QUA
             "h_norms": h_norms.tolist(), "P_values": Ps.tolist()}
 
 
-def _variation_analytic(dec, law, x, h, quad):
-    m = dec.m
-    a = dec.alpha
-    zc, rad2 = _slice_coords(dec, law.eps, x[None, :])
-    radius = np.sqrt(rad2)
-    r = float(radius[0])
-    Q, lognorm = _slice_precision(dec, law)
-    scale = law.c_hat * dec.J
-    G1 = np.linalg.solve(np.eye(m) + a.T @ a, a.T)
-    uh = G1 @ h
-    dw_theta = dec.theta_slice.T @ np.concatenate([uh, -a @ uh])
-    rho = float(np.linalg.norm(dw_theta))
-    Mx_h = float(x @ dec.support_quadform() @ h)
+def _variation_analytic(dec, law, xs, h, quad):
+    """d_h P at interior rows of xs, differentiated under the fixed unit ball.
 
-    # boundary term over the unit sphere of the slice
-    if m == 1:
-        omegas = np.array([[1.0], [-1.0]])
-        sphere_w = np.array([1.0, 1.0])
-    elif m == 2:
-        nang = quad.angular
-        phi = 2 * np.pi * np.arange(nang) / nang
-        omegas = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        sphere_w = np.full(nang, 2 * np.pi / nang)
-    else:
-        raise QuadratureUnsupported(
-            f"analytic first variation implemented for m in {{1, 2}}, got m={m}")
-    gv = scale * _slice_gauss(Q, lognorm, zc, radius, omegas)[0]
-    if rho > 0:
-        cos_psi = omegas @ (dw_theta / rho)
-    else:
-        cos_psi = np.zeros(len(omegas))
-    psi_term = r ** (m - 1) * (rho * cos_psi - Mx_h / r)
-    term1 = float(np.sum(gv * psi_term * sphere_w))
-
-    # interior term: gradient of Gamma against h over the slice disk; with
-    # z = z_c + r (nu, 0), d log g / dz . (0, B2^T h) = -z . (Q[:, m:] B2^T h)
-    nodes, weights = _unit_ball_rule(m, quad)
-    gvals = scale * _slice_gauss(Q, lognorm, zc, radius, nodes)[0]
-    qh = Q[:, m:] @ (dec.B2.T @ h)
-    dgamma_h = -gvals * (float(zc[0] @ qh) + r * (nodes @ qh[:m]))
-    term2 = float(r ** m * (dgamma_h @ weights))
-    return term1 + term2
+    z_c is linear in x, so its derivative dz is the center of h itself, and
+    r^2 = eps^2 - |z_c|^2 gives dr = -(z_c . dz) / r.  With z = z_c + r W nu,
+        d_h [r^m int g(z) dnu] = r^m int g(z) (m dr / r - (K^-1 z) . (dz + dr W nu)) dnu,
+    whose bracket is a quadratic in nu: one sum on the slice rule, for every m.
+    """
+    zc, rad2 = _slice_coords(dec, law.eps, xs)
+    dz = _slice_coords(dec, law.eps, h[None, :])[0][0]
+    r = np.sqrt(rad2)
+    dr = -(zc @ dz) / r
+    Kinv, lognorm = _slice_precision(law)
+    W = dec.W
+    KW = Kinv @ W
+    nodes, weights = _unit_ball_rule(dec.m, quad)
+    lin = dr[:, None] * (zc @ KW) + r[:, None] * (dz @ KW)
+    q = np.einsum("ij,jk,ik->i", nodes, W.T @ KW, nodes)
+    dlog = ((dec.m * dr / r - zc @ (Kinv @ dz))[:, None] - lin @ nodes.T
+            - (r * dr)[:, None] * q)
+    g = _slice_gauss(Kinv, lognorm, W, zc, r, nodes)
+    return law.c_hat * dec.J * r ** dec.m * ((g * dlog) @ weights)
 
 
 def first_variation(dec, law, x, h, mode="numeric", quad=DEFAULT_QUAD) -> float:
     """Directional first variation of P at an interior point.
 
     numeric: symmetric differences with Richardson extrapolation over
-    lambda in {1e-3, 5e-4} * eps.  analytic: boundary-sphere plus interior
-    integrals of the explicit variation formula (m in {1, 2}).
+    lambda in {1e-3, 5e-4} * eps.  analytic: the derivative under the fixed
+    unit ball of the slice integral, on the slice rule (every m).
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -541,7 +473,7 @@ def first_variation(dec, law, x, h, mode="numeric", quad=DEFAULT_QUAD) -> float:
     if geo.classification != "interior":
         raise NotInterior(f"x classified as {geo.classification}")
     if mode == "analytic":
-        return _variation_analytic(dec, law, x, h, quad)
+        return float(_variation_analytic(dec, law, x[None, :], h, quad)[0])
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     lam1 = 1e-3 * law.eps

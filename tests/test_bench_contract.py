@@ -21,6 +21,8 @@ from kickstab.cli import Pipeline
 from kickstab.config import config_from_dict
 from kickstab.density import (
     DEFAULT_QUAD,
+    QuadratureSpec,
+    _unit_ball_rule,
     build_pi_decomposition,
     density_batch,
     projected_law,
@@ -58,6 +60,15 @@ def test_density_batch_binds_dec_and_quad():
     args = (dec, law, xs, DEFAULT_QUAD)
     info = hook(args, {}, density_batch(*args))
     assert info == {"points": 3, "point_nodes": 3 * lt.slice_nodes(1, DEFAULT_QUAD)}
+
+
+def test_slice_nodes_match_unit_ball_rule():
+    # points_nodes_per_s counts slice_nodes(m, quad) nodes per point; that is
+    # the node count of the rule density_batch integrates each slice with.
+    # At m = 0 the rule has one node and the tracer counts quad.radial.
+    for quad in (DEFAULT_QUAD, QuadratureSpec(radial=5, angular=7, polar=3, mc_nodes=11)):
+        for m in range(1, 5):
+            assert lt.slice_nodes(m, quad) == len(_unit_ball_rule(m, quad)[1])
 
 
 def test_kick_law_exposes_norm_const_est():

@@ -114,7 +114,7 @@ def _case(field, value, others=None, name=None):
     _case("mixing.w0_scale", float("nan")), _case("model.n", 20.5), _case("run.n_steps", 2.5),
     _case("run.n_steps", True), _case("model.remainder_scale", -0.1),
     _case("model.remainder_scale", 5.0), _case("model.beta0", 1e-9), _case("model.sigma", 1e6),
-    _case("kick.eps_hat", 1e300), _case("mixing.n_steps", -1), _case("model.obs_idx", [1.5]),
+    _case("kick.eps_hat", 1e300), _case("kick.eps_hat", 1e-200), _case("mixing.n_steps", -1), _case("model.obs_idx", [1.5]),
     _case("model.obs_idx", [10, 10]), _case("model.obs_idx", [True]),
     _case("model.beta0", 10 ** 400, name="model.beta0-int_past_float_range"),
     _case("model.n", 10 ** 6), _case("kick.entries", ["1.0"] * 20, name="kick.entries-strings"),
@@ -131,7 +131,8 @@ def test_crashing_values_rejected_at_load(field, value, others):
     # kick.eps_hat = 1e300, model.n = 10^6, an integer past the float range and
     # the non-numeric list entries crashed the validation itself (eps_hat^2
     # overflowed, and the n x n kick matrix did not fit in memory); a w0_scale
-    # whose square overflows made ||w0|| inf, so w0 read as outside X_sigma
+    # whose square overflows made ||w0|| inf, so w0 read as outside X_sigma;
+    # kick.eps_hat = 1e-200, whose square underflows, was rejected as kick.power
     doc = {"kick": {"eps_hat": 0.01}}
     for sec, vals in others.items():
         doc.setdefault(sec, {}).update(vals)
@@ -510,6 +511,22 @@ def test_density_stops_with_named_error(tmp_path, capsys, doc, error):
     assert main(["density", "--config", path, "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_explicit_alpha_density_at_small_eps_hat(tmp_path):
+    # an explicit alpha takes K = (eps_hat^2 / n) I, the kick section's trace
+    # rule; with K = I the eps_hat = 0.01 ball held a draw with probability
+    # ~3e-7, and the Monte Carlo oracle stopped the stage with RejectionCap
+    path = _write_config(tmp_path, {"kick": {"eps_hat": 0.01},
+                                    "density": {"alpha_source": "explicit",
+                                                "alpha": [[0.8], [-0.5]]}})
+    out = os.path.join(tmp_path, "out")
+    for stage in ("synth", "dichotomy", "density"):
+        assert main([stage, "--config", path, "--out", out]) == 0
+    with open(os.path.join(out, "density.json")) as fh:
+        dens = json.load(fh)
+    assert (dens["m"], dens["nm"]) == (1, 2)
+    assert dens["mc_max_rel_dev"] < 0.05
 
 
 def test_seed_override_leaves_caller_config(tmp_path):

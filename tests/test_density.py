@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import dblquad, quad
 
 import kickstab.density as ds
 from kickstab.cli import main
@@ -30,27 +31,42 @@ from kickstab.errors import NotInterior, ProbeOffBoundary, RejectionCap
 from tests.conftest import support_ellipsoid_membership
 
 
-def gamma_integrand(dec, K_hat, w, x) -> float:
-    """Slice integrand Gamma(w, x), one point: scalar reference of ``density._slice_gauss``.
+def brute_force_density(alpha, law, x) -> float:
+    """c_hat * int g(u, x - alpha u) 1{|u|^2 + |x - alpha u|^2 <= eps^2} du for m = 1, 2.
 
-    Jacobian times the Gaussian at R^T(w,x).  K_hat is the precision matrix
-    of the projected Gaussian in standard coordinates; w is given in fiber
-    (theta) coordinates, x in standard offset coordinates.  The Jacobian
-    factor J = det R^T makes the slice integrals reproduce the pushforward
-    measure exactly (the corresponding prefactor in the source construction
-    is stated inverted; mass conservation fixes the sign of the exponent).
+    The reference of ``density_P`` by ``scipy.integrate``, in kick coordinates
+    and with no slice geometry of the module: along the last coordinate t of u
+    the ball condition is a quadratic A t^2 + B t + c <= 0, whose roots bound
+    the integral, and for m = 2 the first coordinate ranges where that
+    quadratic's discriminant, itself quadratic in it, is >= 0.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    K_hat = np.asarray(K_hat, dtype=float)
-    z = np.concatenate([w, dec.B2.T @ x])
-    y_b = dec.R.T @ z
-    y = dec.b_basis @ y_b      # standard coordinates
-    sign, logdet_prec = np.linalg.slogdet(K_hat)
-    if sign <= 0:
-        raise ValueError("precision matrix must be positive definite")
-    logg = 0.5 * logdet_prec - 0.5 * dec.n * np.log(2 * np.pi) - 0.5 * y @ K_hat @ y
-    return float(dec.J * np.exp(logg))
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    x = np.asarray(x, dtype=float)
+    Kinv = np.linalg.inv(law.K)
+    norm = np.sqrt(np.linalg.det(2 * np.pi * law.K))
+
+    def g(u):
+        z = np.concatenate([u, x - alpha @ u])
+        return np.exp(-0.5 * z @ Kinv @ z) / norm
+
+    def quadratic(head):
+        a1, y = alpha[:, -1], x - alpha[:, :-1] @ head
+        return 1 + a1 @ a1, -2 * a1 @ y, head @ head + y @ y - law.eps ** 2
+
+    def roots(head):
+        A, B, c = quadratic(np.atleast_1d(head))
+        sq = np.sqrt(max(B * B - 4 * A * c, 0.0))
+        return (-B - sq) / (2 * A), (-B + sq) / (2 * A)
+
+    if alpha.shape[1] == 1:
+        lo, hi = roots(np.zeros(0))
+        return law.c_hat * quad(lambda t: g(np.array([t])), lo, hi, epsabs=0, epsrel=1e-12)[0]
+    ss = np.array([-1.0, 0.0, 1.0]) * law.eps
+    disc = [B * B - 4 * A * c for A, B, c in (quadratic(np.array([s])) for s in ss)]
+    lo, hi = np.sort(np.roots(np.polyfit(ss, disc, 2)).real)
+    val = dblquad(lambda t, s: g(np.array([s, t])), lo, hi, lambda s: roots(s)[0],
+                  lambda s: roots(s)[1], epsabs=0, epsrel=1e-11)[0]
+    return law.c_hat * val
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +86,9 @@ def test_decomposition_zero_alpha():
     dec = build_pi_decomposition(np.zeros((2, 2)))
     assert dec.s == 0
     assert_allclose(dec.mu, [1.0, 1.0])
-    assert_allclose(dec.R, np.eye(4))
+    # u = u_hat + r C nu with C orthogonal, and the fiber is the u-plane
+    assert_allclose(dec.C @ dec.C.T, np.eye(2), atol=1e-15)
+    assert np.all(dec.W[2:] == 0.0)
     assert dec.J == 1.0
 
 
@@ -79,7 +97,7 @@ def test_decomposition_m0():
     assert dec.m == 0 and dec.nm == 2
     assert dec.s == 0
     assert dec.J == 1.0
-    assert_allclose(dec.R, np.eye(2))
+    assert dec.W.shape == (2, 0) and dec.G.shape == (0, 2)
 
 
 def test_decomposition_scalar():
@@ -95,33 +113,16 @@ def test_decomposition_invariants_random(m, nm, seed):
     rng = np.random.default_rng(seed)
     alpha = rng.standard_normal((nm, m))
     dec = build_pi_decomposition(alpha)
-    # slice basis orthonormal (Gram = identity)
-    th = dec.theta_basis[:, :dec.m]
-    assert np.linalg.norm(th.T @ th - np.eye(dec.m)) < 1e-12
-    # theta_j in ker pi
-    for j in range(dec.m):
-        resid = alpha @ dec.theta_basis[:dec.m, j] + dec.theta_basis[dec.m:, j]
-        assert np.linalg.norm(resid) < 1e-12
-    # det R^T equals the Jacobian product
-    assert abs(np.linalg.det(dec.R.T) - dec.J) < 1e-12
-    # alpha b_j mutually orthogonal for j <= s, kernel beyond
-    ab = alpha @ dec.b_basis[:dec.m, :dec.m]
-    for i in range(dec.s):
-        for j in range(i + 1, dec.s):
-            assert abs(ab[:, i] @ ab[:, j]) < 1e-10
-    for j in range(dec.s, dec.m):
-        assert np.linalg.norm(ab[:, j]) < 1e-7
-    # full b basis orthonormal
-    assert np.linalg.norm(dec.b_basis.T @ dec.b_basis - np.eye(dec.n)) < 1e-12
-
-
-def test_coordinate_map_through_R(dec12):
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        v = rng.standard_normal(dec12.n)
-        coords_b = dec12.b_basis.T @ v
-        coords_theta = np.linalg.solve(dec12.theta_basis, v)
-        assert np.linalg.norm(coords_b - dec12.R.T @ coords_theta) < 1e-12
+    W = dec.W
+    # the fiber columns W = [C; -alpha C] are orthonormal
+    assert np.linalg.norm(W.T @ W - np.eye(dec.m)) < 1e-12
+    # and lie in ker pi: alpha C - alpha C = 0
+    assert np.linalg.norm(np.hstack([alpha, np.eye(nm)]) @ W) < 1e-12
+    # |det C| is the Jacobian of u = u_hat + r C nu
+    assert abs(abs(np.linalg.det(dec.C)) - dec.J) < 1e-12
+    # u_hat = G x minimizes |u|^2 + |x - alpha u|^2, the squared distance to the fiber
+    x = rng.standard_normal(nm)
+    assert np.linalg.norm((np.eye(m) + alpha.T @ alpha) @ (dec.G @ x) - alpha.T @ x) < 1e-12
 
 
 # -- slice geometry ----------------------------------------------------------
@@ -180,29 +181,47 @@ def test_slice_matches_ellipsoid_membership(dec12):
 
 # -- integrand ----------------------------------------------------------------
 
+def _kernel_at(dec, law, u, x):
+    """The slice kernel at the kick (u, x - alpha u), located by its node nu on the unit ball."""
+    zc, rad2 = ds._slice_coords(dec, law.eps, np.atleast_2d(x))
+    r = np.sqrt(rad2)
+    nu = np.linalg.solve(dec.C, u - zc[0, :dec.m]) / r[0]
+    return ds._slice_gauss(*ds._slice_precision(law), dec.W, zc, r, nu[None, :])[0, 0], nu
+
+
 def test_integrand_zero_alpha_standard_normal():
     dec = build_pi_decomposition(np.zeros((1, 1)))
-    val = gamma_integrand(dec, np.eye(2), [0.3], [0.4])
+    val, _ = _kernel_at(dec, projected_law(np.eye(2), 1.0), np.array([0.3]), [0.4])
     expected = (2 * np.pi) ** -1 * np.exp(-0.5 * (0.09 + 0.16))
     assert abs(val - expected) < 1e-14
 
 
 def test_integrand_scalar_jacobian_factor():
-    # mass-preserving change of variables: the prefactor is
-    # J = (1 + ||alpha b||^2)^{-1/2} = 5^{-1/2} for alpha = 2
+    # mass-preserving change of variables: du = J r dnu with
+    # J = |det C| = (1 + alpha^2)^{-1/2} = 5^{-1/2} for alpha = 2, so the slice
+    # rule reproduces the plain integral c_hat * int g(u, x - 2u) du
     dec = build_pi_decomposition(np.array([[2.0]]))
-    val = gamma_integrand(dec, np.eye(2), [0.0], [0.0])
-    assert abs(val - 5 ** -0.5 / (2 * np.pi)) < 1e-14
+    assert abs(dec.J - 5 ** -0.5) < 1e-15
+    law = projected_law(np.eye(2), 1.0)
+    for x in (0.0, 0.5, -1.2):
+        ref = brute_force_density([[2.0]], law, [x])
+        assert abs(density_P(dec, law, [x]) - ref) < 1e-13 * ref
 
 
 def test_integrand_bounded_on_ball(dec12, law12):
+    # every kick z = (u, v) of the ball lies on the slice of x = alpha u + v at
+    # a node nu of the unit ball, where the kernel is the Gaussian density g(z)
     rng = np.random.default_rng(3)
     K_hat = np.linalg.inv(law12.K)
+    norm = np.sqrt(np.linalg.det(2 * np.pi * law12.K))
     vals = []
-    for _ in range(10_000):
+    for _ in range(2_000):
         z = rng.standard_normal(3)
         z *= law12.eps * rng.uniform(0, 1) ** (1 / 3) / np.linalg.norm(z)
-        vals.append(gamma_integrand(dec12, K_hat, z[:1], z[1:]))
+        val, nu = _kernel_at(dec12, law12, z[:1], dec12.alpha @ z[:1] + z[1:])
+        assert nu @ nu <= 1.0 + 1e-12
+        assert abs(val - np.exp(-0.5 * z @ K_hat @ z) / norm) < 1e-12 * val
+        vals.append(val)
     vals = np.array(vals)
     assert np.all(vals > 0)
     assert np.isfinite(vals.max() / vals.min())
@@ -211,23 +230,18 @@ def test_integrand_bounded_on_ball(dec12, law12):
 @pytest.mark.parametrize("alpha", [[[0.8], [-0.5]], [[0.9, -0.3], [0.2, 1.1]]],
                          ids=["m1", "m2"])
 def test_slice_kernel_matches_scalar_integrand(alpha):
-    # the vectorised kernel at every node of the pipeline's unit-ball rule,
-    # at interior points of the support, against the scalar Gamma / J
+    # the vectorised kernel on the pipeline's unit-ball rule, at interior
+    # points of the support, against scipy.integrate on the scalar integrand
     dec = build_pi_decomposition(np.array(alpha))
     A = np.random.default_rng(8).standard_normal((dec.n, dec.n))
     law = projected_law(A @ A.T / dec.n + 0.2 * np.eye(dec.n), 1.0)
     M = dec.support_quadform()
     xdir = np.linspace(1.0, -0.6, dec.nm)
     xs = np.outer([0.0, 0.4, 0.85], xdir / np.sqrt(xdir @ M @ xdir))
-    zc, rad2 = ds._slice_coords(dec, law.eps, xs)
-    r = np.sqrt(rad2)
-    nodes, _ = ds._unit_ball_rule(dec.m, DEFAULT_QUAD)
-    G = ds._slice_gauss(*ds._slice_precision(dec, law), zc, r, nodes)
-    K_hat = np.linalg.inv(law.K)
-    ref = np.array([[gamma_integrand(dec, K_hat, zc[i, :dec.m] + r[i] * nu, x) / dec.J
-                     for nu in nodes] for i, x in enumerate(xs)])
-    assert np.all(rad2 > 0)
-    assert np.max(np.abs(G - ref) / ref) <= 1e-12
+    P = density_batch(dec, law, xs)
+    ref = np.array([brute_force_density(alpha, law, x) for x in xs])
+    assert np.all(P > 0)
+    assert np.max(np.abs(P - ref) / ref) <= 1e-12
 
 
 # -- density ------------------------------------------------------------------
@@ -393,8 +407,9 @@ def test_mc_oracle_batch_matches_single_points(dec12, law12):
 def test_mc_oracle_sample_floor(dec12, law12):
     with pytest.raises(ValueError):
         mc_density_oracle(dec12, law12, np.zeros(2), 100)
-    # an explicit alpha takes K = I: at eps = 0.01 the ball holds a draw with
-    # probability ~3e-7, and a stage once stopped here with a bare ValueError
+    # K = I at eps = 0.01: the ball holds a draw with probability ~3e-7 (an
+    # explicit alpha once took this K in the density stage, which stopped
+    # here with a bare ValueError)
     with pytest.raises(RejectionCap, match="none of 10000 draws"):
         mc_density_oracle(dec12, projected_law(np.eye(3), 0.01), np.zeros((1, 2)), 10_000)
 
@@ -416,16 +431,16 @@ def test_lagrange_residual_and_norm(dec12, law12):
     for g0 in (0.05, 0.01, 0.001):
         h, lam = lagrange_boundary_step(dec12, xb, g0)
         assert abs(np.linalg.norm(h) - g0) < 1e-10
-        x0, coeffs = _decompose(dec12, xb)
-        resid = x0 @ x0 / (1 + lam) ** 2 + np.sum(
-            coeffs ** 2 * dec12.alpha_b_norms[:dec12.s] ** 2
-            / (1 + lam * dec12.mu[:dec12.s]) ** 2) - g0 ** 2
+        # stationary point of (x + h)^T M (x + h) on the sphere ||h|| = g0
+        assert np.linalg.norm(M @ (xb + h) + lam * h) < 1e-12
+        # M^{-1} = E + alpha alpha^T has eigenvalue mu_1 on alpha V_1 and 1 on
+        # ker alpha^T; the multiplier equation in those coordinates
+        ab = dec12.alpha @ dec12.C[:, 0] * np.sqrt(dec12.mu[0])
+        ab /= np.linalg.norm(ab)
+        y1 = ab @ xb
+        resid = (y1 ** 2 / (1 + lam * dec12.mu[0]) ** 2
+                 + (xb @ xb - y1 ** 2) / (1 + lam) ** 2 - g0 ** 2)
         assert abs(resid) < 1e-12
-
-
-def _decompose(dec, x):
-    from kickstab.density import _boundary_decompose
-    return _boundary_decompose(dec, x)
 
 
 def test_lagrange_minimizes_objective(dec12, law12):
@@ -494,6 +509,23 @@ def test_variation_antisymmetry(dec12, law12):
         minus = first_variation(dec12, law12, x, -h, mode=mode)
         tol = 1e-12 if mode == "analytic" else 1e-3 * abs(plus)
         assert abs(plus + minus) <= tol
+
+
+@pytest.mark.parametrize("alpha, K, x", [
+    (np.zeros((2, 0)), np.array([[0.5, 0.1], [0.1, 0.2]]), [0.3, -0.2]),
+    (np.array([[0.9, 0.2], [-0.3, 0.7]]), 0.3 * np.eye(4), [0.25, -0.3]),
+    (np.array([[0.6, -0.2, 0.4], [0.1, 0.8, -0.5]]), 0.25 * np.eye(5), [0.2, 0.15]),
+], ids=["m0", "m2", "m3"])
+def test_variation_analytic_matches_numeric(alpha, K, x):
+    # the derivative under the fixed unit ball needs no sphere rule, so it
+    # holds for every m; the numeric mode differentiates the same slice rule
+    dec = build_pi_decomposition(alpha)
+    law = projected_law(K, 1.0)
+    quad_spec = QuadratureSpec(radial=24, angular=64, polar=12)
+    x, h = np.array(x), np.array([0.6, -0.8])
+    num = first_variation(dec, law, x, h, mode="numeric", quad=quad_spec)
+    ana = first_variation(dec, law, x, h, mode="analytic", quad=quad_spec)
+    assert abs(num - ana) <= 1e-7 * abs(num)
 
 
 def test_variation_modes_agree(dec12, law12):
