@@ -114,8 +114,8 @@ def _case(field, value, others=None, name=None):
     _case("mixing.w0_scale", float("nan")), _case("model.n", 20.5), _case("run.n_steps", 2.5),
     _case("run.n_steps", True), _case("model.remainder_scale", -0.1),
     _case("model.remainder_scale", 5.0), _case("model.beta0", 1e-9), _case("model.sigma", 1e6),
-    _case("kick.eps_hat", 1e300), _case("kick.eps_hat", 1e-200), _case("mixing.n_steps", -1), _case("model.obs_idx", [1.5]),
-    _case("model.obs_idx", [10, 10]), _case("model.obs_idx", [True]),
+    _case("kick.eps_hat", 1e300), _case("kick.eps_hat", 1e-200), _case("mixing.n_steps", -1),
+    _case("model.obs_idx", [1.5]), _case("model.obs_idx", [10, 10]), _case("model.obs_idx", [True]),
     _case("model.beta0", 10 ** 400, name="model.beta0-int_past_float_range"),
     _case("model.n", 10 ** 6), _case("kick.entries", ["1.0"] * 20, name="kick.entries-strings"),
     _case("density.alpha", [[0.5], None], _EXPLICIT, name="density.alpha-null_row"),

@@ -12,7 +12,6 @@ from scipy.integrate import dblquad, quad
 import kickstab.density as ds
 from kickstab.cli import main
 from kickstab.density import (
-    DEFAULT_QUAD,
     QuadratureSpec,
     boundary_exponent_probe,
     build_pi_decomposition,
@@ -215,7 +214,7 @@ def test_integrand_bounded_on_ball(dec12, law12):
     K_hat = np.linalg.inv(law12.K)
     norm = np.sqrt(np.linalg.det(2 * np.pi * law12.K))
     vals = []
-    for _ in range(2_000):
+    for _ in range(10_000):
         z = rng.standard_normal(3)
         z *= law12.eps * rng.uniform(0, 1) ** (1 / 3) / np.linalg.norm(z)
         val, nu = _kernel_at(dec12, law12, z[:1], dec12.alpha @ z[:1] + z[1:])
