@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -464,17 +465,75 @@ def test_certificate_records_riesz_schur_residual(tmp_path):
 
 
 def test_report_names_failing_checks(tmp_path, capsys):
+    # each verdict is read from an artifact: a tampered artifact fails its
+    # check alone.  Reversed tail gammas increase along the ladder
     path = small_config(tmp_path)
     out = os.path.join(tmp_path, "out")
     assert main(["all", "--config", path, "--out", out]) == 0
-    env_path = os.path.join(out, "envelope.json")
-    env = json.load(open(env_path))
-    env["n_violations"] = 1
-    with open(env_path, "w") as fh:
-        json.dump(env, fh)
+    cases = [
+        ("envelope.json", lambda doc: doc.update(n_violations=1), "envelope_zero_violations"),
+        ("certificate.json", lambda doc: doc["tail_gammas"].reverse(),
+         "tail_strictly_decreasing"),
+        ("tv.json", lambda doc: doc.update({"pass": False}), "tv_ratio_stable"),
+    ]
+    for name, edit, check in cases:
+        artifact = os.path.join(out, name)
+        with open(artifact, "rb") as fh:
+            original = fh.read()
+        doc = json.loads(original)
+        edit(doc)
+        with open(artifact, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert main(["report", "--config", path, "--out", out]) == 1
+        assert capsys.readouterr().out == f"[report] CHECK FAILED: {check}\n"
+        with open(artifact, "wb") as fh:
+            fh.write(original)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """Config path and output dir of one complete ``all`` run."""
+    tmp = tmp_path_factory.mktemp("finished")
+    path = small_config(tmp)
+    out = os.path.join(tmp, "out")
+    assert main(["all", "--config", path, "--out", out]) == 0
+    return path, out
+
+
+def test_report_runs_on_artifacts_alone(finished_run, tmp_path, monkeypatch, capsys):
+    # report builds no model and no kick law, and a rerun rewrites its
+    # report.json byte for byte
+    path, done = finished_run
+    out = os.path.join(tmp_path, "out")
+    shutil.copytree(done, out)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("report must not build pipeline components")
+
+    monkeypatch.setattr("kickstab.cli.build_oseen", unavailable)
+    monkeypatch.setattr("kickstab.cli.make_kick_law", unavailable)
     capsys.readouterr()
-    assert main(["report", "--config", path, "--out", out]) == 1
-    assert capsys.readouterr().out == "[report] CHECK FAILED: envelope_zero_violations\n"
+    assert main(["report", "--config", path, "--out", out]) == 0
+    assert capsys.readouterr().out == "[report] ok\n"
+    assert file_checksum(os.path.join(out, "report.json")) == \
+        file_checksum(os.path.join(done, "report.json"))
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert "condition_check" not in report
+    assert json.load(open(os.path.join(out, "tv.json")))["pass"]
+
+
+def test_report_requires_tv_json(finished_run, tmp_path, capsys):
+    # an output dir written before mixing wrote tv.json stops report with a
+    # named error, not a traceback
+    path, done = finished_run
+    out = os.path.join(tmp_path, "out")
+    shutil.copytree(done, out)
+    os.remove(os.path.join(out, "tv.json"))
+    capsys.readouterr()
+    assert main(["report", "--config", path, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "requires artifact tv.json" in err and "Traceback" not in err
 
 
 def test_burn_in_below_floor_stops_mixing_with_named_error(tmp_path, capsys):
