@@ -21,11 +21,12 @@ An ensemble is stepped in bounded blocks of whole chains by
 BLOCK_ENTRIES ambient state entries, each block yielded to its caller to
 reduce before the next is stepped.  Only this module knows the block size.
 Chain c always draws on child c of the ensemble's seed, so its kicks do not
-depend on the block size.  Its states can, in the last bits only: BLAS
-picks its kernels and thread split by shape, so a row of the step product
-can round differently with the number of rows (a one-chain block takes the
+depend on the block size.  Its states can, in the last bits only: the
+thread split is fixed (a ``cli.Pipeline`` pins OpenBLAS to one thread), but
+BLAS still picks its kernels by shape, so a row of the step product can
+round differently with the number of rows (a one-chain block takes the
 matrix-vector path).  At n = 20, blocks of 8 or more chains match one
-block bit for bit.
+block bit for bit.  The kick map U^T Pi is formed once per ensemble.
 
 Also provides the uncontrolled blow-up demonstration, the one user of the
 growing S(tau) = e^{-tau A}, and the envelope certificate ||w^k|| <=
@@ -74,16 +75,19 @@ def propagate(M, B, w0, kicks) -> np.ndarray:
     return states
 
 
-def controlled_states(step, pi, w0, kicks) -> np.ndarray:
+def controlled_states(step, pi, w0, kicks, kick_map=None) -> np.ndarray:
     """``propagate`` for the controlled chain: ambient states, stepped by T in X_sigma.
 
+    ``kick_map`` is U^T Pi; it is formed here unless the caller passes it.
     Raises ValueError unless w0 lies in X_sigma: ||D^T w0|| < 1e-10 max(1, ||w0||).
     """
     w0 = np.asarray(w0, dtype=float)
     D, U = pi.dichotomy.D, step.U
     if D.size and np.linalg.norm(D.T @ w0) >= 1e-10 * max(1.0, np.linalg.norm(w0)):
         raise ValueError("w0 must lie in X_sigma (adjoint residual too large)")
-    c = propagate(step.T, U.T @ pi.Pi_mat, w0 @ U, kicks)
+    if kick_map is None:
+        kick_map = U.T @ pi.Pi_mat
+    c = propagate(step.T, kick_map, w0 @ U, kicks)
     del kicks   # run_ensemble passes its kicks inline: free them before w = U c
     return c @ U.T
 
@@ -103,7 +107,7 @@ def _streams(seed, n_chains):
     return ss.spawn(n_chains)
 
 
-def run_ensemble(step, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
+def run_ensemble(step, pi, law, w0, n_chains, n_steps, seed, kick_map=None) -> np.ndarray:
     """States of n_chains independent trajectories, shape (chains, steps+1, n).
 
     Chain c draws its n_steps kicks in one ``sample_kicks`` call on a
@@ -113,7 +117,8 @@ def run_ensemble(step, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
     (``ensemble_blocks``).  A chain's kicks therefore do not depend on how
     many chains run beside it, and its first k steps are those of a k-step
     run.  All chains are stepped as one block; see the module docstring for
-    how the block size can reach the last bits of the states.
+    how the block size can reach the last bits of the states.  ``kick_map``
+    is passed on to ``controlled_states``.
     """
     if isinstance(seed, list):
         if len(seed) != n_chains:
@@ -122,7 +127,7 @@ def run_ensemble(step, pi, law, w0, n_chains, n_steps, seed) -> np.ndarray:
     else:
         streams = _streams(seed, n_chains)
     return controlled_states(step, pi, w0, np.stack(
-        [sample_kicks(law, np.random.default_rng(s), n_steps) for s in streams]))
+        [sample_kicks(law, np.random.default_rng(s), n_steps) for s in streams]), kick_map)
 
 
 def ensemble_blocks(step, pi, law, w0, n_chains, n_steps, seed):
@@ -132,13 +137,14 @@ def ensemble_blocks(step, pi, law, w0, n_chains, n_steps, seed):
     order into blocks of at most BLOCK_ENTRIES state entries (at least one
     chain each) and yields the (chains, n_steps+1, n) states of one
     ``run_ensemble`` call per block, up to the roundoff of the step product
-    (module docstring).
+    (module docstring).  U^T Pi is formed once, for every block.
     """
     streams = _streams(seed, n_chains)
     size = max(1, BLOCK_ENTRIES // ((n_steps + 1) * step.U.shape[0]))
+    kick_map = step.U.T @ pi.Pi_mat
     for lo in range(0, n_chains, size):
         block = streams[lo:lo + size]
-        yield run_ensemble(step, pi, law, w0, len(block), n_steps, block)
+        yield run_ensemble(step, pi, law, w0, len(block), n_steps, block, kick_map=kick_map)
 
 
 def envelope_bound(n_steps, w0_norm, gamma0, norm_Pi, eps_hat) -> np.ndarray:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -85,16 +87,44 @@ _PREREQS = {
 }
 
 
+# the OpenBLAS copies numpy and scipy bundle, and each one's thread-count setter
+_OPENBLAS = (("numpy", "scipy_openblas_set_num_threads64_"),
+             ("scipy", "scipy_openblas_set_num_threads"))
+
+
+def pin_blas_threads():
+    """Set every bundled OpenBLAS pool to one thread; the count set, or None if none is found.
+
+    numpy and scipy each load their own OpenBLAS (found in numpy.libs and
+    scipy.libs).  With more than one thread the products split by thread
+    count, so artifacts at n >= 150 would move in their last bits with
+    OPENBLAS_NUM_THREADS, and one library's workers spin while the other works.
+    """
+    found = False
+    for pkg, symbol in _OPENBLAS:
+        libs = os.path.join(os.path.dirname(sys.modules[pkg].__file__), os.pardir, f"{pkg}.libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            fn = getattr(ctypes.CDLL(path), symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                found = True
+    return 1 if found else None
+
+
 class Pipeline:
     """Holds the config, derived components (built lazily, once per pipeline)
     and the artifact dir.  The chain is read through ``step``: one X_sigma step
-    T = e^{-tau A_sigma} per tau; only ``uncontrolled_demo`` forms S(tau)."""
+    T = e^{-tau A_sigma} per tau; only ``uncontrolled_demo`` forms S(tau).
+    Building one pins numpy's and scipy's OpenBLAS to one thread
+    (``pin_blas_threads``); the manifest records the count as ``threads``."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir, seed_override=None):
         if seed_override is not None:
             cfg = copy.deepcopy(cfg)   # the caller's config keeps its seeds
             cfg.run.seed = seed_override
             cfg.mixing.seed = seed_override + 1
+        self.threads = pin_blas_threads()
         self.cfg = cfg
         self.out = out_dir
         os.makedirs(out_dir, exist_ok=True)
@@ -160,6 +190,7 @@ class Pipeline:
         man = self._load_manifest()
         man["config_hash"] = self.config_hash()
         man["version"] = __version__
+        man["threads"] = self.threads
         man["stages"][stage] = {"artifacts": {os.path.basename(f): file_checksum(f)
                                               for f in files}}
         man["timings"][stage] = elapsed
@@ -230,8 +261,8 @@ class Pipeline:
         gamma0, _ = contraction_certificate(step)
         w0 = stable_state(dich, cfg.run.w0_scale, cfg.run.w0_seed)
         n_steps, n_unc = cfg.run.n_steps, cfg.run.uncontrolled_steps
-        # the blow-up demonstration runs first: scipy's OpenBLAS threads spin
-        # on after its expm and would slow numpy's OpenBLAS in the next stage
+        # the blow-up demonstration runs first; it and run_chain each seed a
+        # generator of their own, so the order moves no artifact
         ev_min = model.eigvals().real.min()
         demo = uncontrolled_demo(model, tau, law, w0, n_unc, cfg.run.seed) if ev_min < 0 else None
 

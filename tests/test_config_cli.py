@@ -644,3 +644,76 @@ def test_simulate_blowup_reads_a_separate_chain_bit_for_bit(simulate_pair):
         blow = json.load(open(pipe.path("blowup.json")))
         assert blow["applicable"]
         assert blow["ratio_uncontrolled_controlled"] == float(norms_u[-1] / ctrl[-1])
+
+
+def _openblas_fns(kind):
+    """(package, function) for the thread-count getter or setter of each OpenBLAS
+    bundled with numpy and scipy."""
+    import ctypes
+    import glob
+    import sys
+
+    fns = []
+    for pkg, symbol in (("numpy", f"scipy_openblas_{kind}_num_threads64_"),
+                        ("scipy", f"scipy_openblas_{kind}_num_threads")):
+        libs = os.path.join(os.path.dirname(sys.modules[pkg].__file__), os.pardir, f"{pkg}.libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            fn = getattr(ctypes.CDLL(path), symbol, None)
+            if fn is not None:
+                if kind == "get":
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                else:
+                    fn.argtypes, fn.restype = [ctypes.c_int], None
+                fns.append((pkg, fn))
+    return fns
+
+
+def test_pipeline_pins_both_openblas_pools_and_records_it(tmp_path):
+    getters = _openblas_fns("get")
+    if {pkg for pkg, _ in getters} != {"numpy", "scipy"}:
+        pytest.skip("numpy and scipy do not each bundle an OpenBLAS here")
+    for _, fn in _openblas_fns("set"):
+        fn(2)
+    pipe = Pipeline(config_from_dict({"kick": {"eps_hat": 0.01}}), str(tmp_path))
+    assert pipe.threads == 1
+    assert [(pkg, fn()) for pkg, fn in getters] == [("numpy", 1), ("scipy", 1)]
+    pipe.run_stage("synth")
+    assert json.load(open(pipe.path("manifest.json")))["threads"] == 1
+
+
+def test_no_openblas_found_records_null_threads(tmp_path, monkeypatch):
+    import glob
+
+    from kickstab import cli
+
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    assert cli.pin_blas_threads() is None
+    pipe = Pipeline(config_from_dict({"kick": {"eps_hat": 0.01}}), str(tmp_path))
+    pipe.run_stage("synth")
+    man = json.load(open(pipe.path("manifest.json")))
+    assert "threads" in man and man["threads"] is None
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n = 150 the eigensolve rounds differently on one and on two OpenBLAS
+    # threads unless the pipeline pins the count itself
+    import subprocess
+    import sys
+
+    import kickstab
+
+    path = _write_config(tmp_path, {"model": {"n": 150}, "kick": {"eps_hat": 0.01}})
+    src = os.path.dirname(os.path.dirname(kickstab.__file__))
+    script = ("import sys; from kickstab.cli import main\n"
+              "for st in ('synth', 'dichotomy'):\n"
+              "    assert main([st, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n")
+    checksums = []
+    for threads in ("1", "2"):
+        out = os.path.join(tmp_path, f"threads{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                                              if p))
+        subprocess.run([sys.executable, "-c", script, path, out], env=env, check=True,
+                       capture_output=True)
+        checksums.append(file_checksum(os.path.join(out, "dichotomy.json")))
+    assert checksums[0] == checksums[1]
