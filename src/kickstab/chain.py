@@ -17,16 +17,22 @@ steps, which BLAS can round differently with the number of rows.  At
 n = 20, chains of 100 and 200 steps agree bit for bit.
 
 An ensemble is stepped in bounded blocks of whole chains by
-``ensemble_blocks``: one ``run_ensemble`` call per block of at most
-BLOCK_ENTRIES ambient state entries, each block yielded to its caller to
-reduce before the next is stepped.  Only this module knows the block size.
-Chain c always draws on child c of the ensemble's seed, so its kicks do not
-depend on the block size.  Its states can, in the last bits only: the
-thread split is fixed (a ``cli.Pipeline`` pins OpenBLAS to one thread), but
-BLAS still picks its kernels by shape, so a row of the step product can
-round differently with the number of rows (a one-chain block takes the
-matrix-vector path).  At n = 20, blocks of 8 or more chains match one
-block bit for bit.  The kick map U^T Pi is formed once per ensemble.
+``ensemble_blocks``: one ``run_ensemble`` call per block, each block yielded
+to its caller to reduce before the next is stepped.  A block holds at most
+BLOCK_ENTRIES ambient state entries, (starts x chains x (steps+1) x n).
+Only this module knows the block size.  Chain c always draws on child c of
+the ensemble's seed, so its kicks do not depend on the block size.  Its
+states can, in the last bits only: the thread split is fixed (a
+``cli.Pipeline`` pins OpenBLAS to one thread), but BLAS still picks its
+kernels by shape, so a row of the step product can round differently with
+the number of rows (a one-chain block takes the matrix-vector path).  At
+n = 20, blocks of 8 or more rows match one block bit for bit.  The kick
+map U^T Pi is formed once per ensemble.
+
+Several starts can share one ensemble's kicks (synchronous coupling): with
+w0 of shape (s, n), every start is stepped on chain c's kicks, drawn once.
+The s trajectories of a chain then differ by U T^k (c_A - c_B) only, up to
+roundoff, since the kicks cancel from their difference.
 
 Also provides the uncontrolled blow-up demonstration, the one user of the
 growing S(tau) = e^{-tau A}, and the envelope certificate ||w^k|| <=
@@ -54,36 +60,46 @@ __all__ = [
     "burn_in_floor",
 ]
 
-BLOCK_ENTRIES = 1 << 20    # state entries (chains x (steps+1) x n) of one ensemble block
+BLOCK_ENTRIES = 1 << 20    # state entries (starts x chains x (steps+1) x n) of one ensemble block
 
 
 def propagate(M, B, w0, kicks) -> np.ndarray:
     """States of w^{k+1} = M w^k + B phi^{k+1} from w0, for a block of chains.
 
-    kicks has shape (..., steps, d) and w0 broadcasts to (..., n); the
-    result has shape (..., steps+1, n).  The kicks are pushed through B in
-    one product, then each step advances the whole block at once.
+    kicks has shape (..., steps, d).  With w0 of shape (n,) the result has
+    shape (..., steps+1, n).  With w0 of shape (s, n), s starts, every start
+    is stepped on the same kicks and the result has shape
+    (s, ..., steps+1, n).  The kicks are pushed through B in one product,
+    then each step advances the whole block, every start at once.
     """
     kicks = np.asarray(kicks, dtype=float)
-    steps = kicks.shape[-2]
-    states = np.empty(kicks.shape[:-2] + (steps + 1, M.shape[0]))
-    states[..., 0, :] = w0
-    np.matmul(kicks, B.T, out=states[..., 1:, :])
+    w0 = np.asarray(w0, dtype=float)
+    steps, starts = kicks.shape[-2], w0.shape[:-1]
+    full = np.empty(starts + kicks.shape[:-2] + (steps + 1, M.shape[0]))
+    full[..., 0, :] = w0.reshape(starts + (1,) * (kicks.ndim - 2) + w0.shape[-1:])
+    np.matmul(kicks, B.T, out=full[(0,) * len(starts)][..., 1:, :])
+    states = full
+    if starts:   # copy the pushed kicks to every start; step all starts in one product
+        full[1:, ..., 1:, :] = full[0, ..., 1:, :]
+        states = full.reshape((-1,) + full.shape[-2:])
     MT = M.T
     for k in range(steps):
         states[..., k + 1, :] += states[..., k, :] @ MT
-    return states
+    return full
 
 
 def controlled_states(step, pi, w0, kicks, kick_map=None) -> np.ndarray:
     """``propagate`` for the controlled chain: ambient states, stepped by T in X_sigma.
 
+    w0 is one start (n,) or several (s, n) that share the kicks.
     ``kick_map`` is U^T Pi; it is formed here unless the caller passes it.
-    Raises ValueError unless w0 lies in X_sigma: ||D^T w0|| < 1e-10 max(1, ||w0||).
+    Raises ValueError unless every start lies in X_sigma:
+    ||D^T w0|| < 1e-10 max(1, ||w0||).
     """
     w0 = np.asarray(w0, dtype=float)
     D, U = pi.dichotomy.D, step.U
-    if D.size and np.linalg.norm(D.T @ w0) >= 1e-10 * max(1.0, np.linalg.norm(w0)):
+    if D.size and np.any(np.linalg.norm(w0 @ D, axis=-1)
+                         >= 1e-10 * np.maximum(1.0, np.linalg.norm(w0, axis=-1))):
         raise ValueError("w0 must lie in X_sigma (adjoint residual too large)")
     if kick_map is None:
         kick_map = U.T @ pi.Pi_mat
@@ -116,9 +132,12 @@ def run_ensemble(step, pi, law, w0, n_chains, n_steps, seed, kick_map=None) -> n
     n_chains SeedSequences, such as one block of a parent's children
     (``ensemble_blocks``).  A chain's kicks therefore do not depend on how
     many chains run beside it, and its first k steps are those of a k-step
-    run.  All chains are stepped as one block; see the module docstring for
-    how the block size can reach the last bits of the states.  ``kick_map``
-    is passed on to ``controlled_states``.
+    run.  With w0 of shape (s, n) each start is stepped on every chain's
+    kicks: the result has shape (s*chains, steps+1, n), and row
+    i*chains + c is start i driven by chain c.  All chains are stepped as
+    one block; see the module docstring for how the block size can reach
+    the last bits of the states.  ``kick_map`` is passed on to
+    ``controlled_states``.
     """
     if isinstance(seed, list):
         if len(seed) != n_chains:
@@ -126,21 +145,26 @@ def run_ensemble(step, pi, law, w0, n_chains, n_steps, seed, kick_map=None) -> n
         streams = seed
     else:
         streams = _streams(seed, n_chains)
-    return controlled_states(step, pi, w0, np.stack(
+    states = controlled_states(step, pi, w0, np.stack(
         [sample_kicks(law, np.random.default_rng(s), n_steps) for s in streams]), kick_map)
+    return states.reshape((-1,) + states.shape[-2:])
 
 
 def ensemble_blocks(step, pi, law, w0, n_chains, n_steps, seed):
     """The chains of run_ensemble(..., n_chains, n_steps, seed), block by block.
 
     Splits the children of ``seed`` (an int or a SeedSequence) in chain
-    order into blocks of at most BLOCK_ENTRIES state entries (at least one
-    chain each) and yields the (chains, n_steps+1, n) states of one
+    order into the fewest blocks of at most BLOCK_ENTRIES state entries over
+    all starts of w0 (at least one chain each), of equal size but for a
+    shorter last one, and yields the states of one
     ``run_ensemble`` call per block, up to the roundoff of the step product
-    (module docstring).  U^T Pi is formed once, for every block.
+    (module docstring): (chains, n_steps+1, n), or (s*chains, n_steps+1, n)
+    in start-major rows for s starts.  U^T Pi is formed once, for every block.
     """
     streams = _streams(seed, n_chains)
-    size = max(1, BLOCK_ENTRIES // ((n_steps + 1) * step.U.shape[0]))
+    starts = 1 if np.ndim(w0) == 1 else len(w0)
+    size = max(1, BLOCK_ENTRIES // (starts * (n_steps + 1) * step.U.shape[0]))
+    size = -(-n_chains // -(-n_chains // size))   # as many blocks, as even as they can be
     kick_map = step.U.T @ pi.Pi_mat
     for lo in range(0, n_chains, size):
         block = streams[lo:lo + size]

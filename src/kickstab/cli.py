@@ -372,7 +372,8 @@ class Pipeline:
         w0 = stable_state(dich, mix.w0_scale, cfg.run.w0_seed)
         rep = mixing_decay(step, pi, law, w0, -w0, mix.n_chains, mix.n_steps, obs, mix.seed)
         pd = self.path("mixing_dk.csv")
-        emit_series(pd, ["k", "d_k"], [[k, v] for k, v in enumerate(rep.d_k)])
+        emit_series(pd, ["k", "d_k", "se_k", "b_k"],
+                    [[k, d, se, b] for k, (d, se, b) in enumerate(zip(rep.d_k, rep.se_k, rep.b_k))])
         pj = self.path("mixing.json")
         write_json(pj, rep.to_json_dict())
 
@@ -416,6 +417,7 @@ class Pipeline:
 
         grid = [cert["gamma0_grid"][k] for k in ("1.0", "2.0", "4.0", "8.0")]
         tails = cert["tail_gammas"]
+        excess = max(d - b for d, b in zip(mix["d_k"], mix["b_k"]))
         checks = {
             "contraction_gamma0": {"value": cert["gamma0"], "pass": cert["contraction_ok"]},
             "gamma0_decreasing_in_tau": {"value": grid,
@@ -428,6 +430,9 @@ class Pipeline:
                                          "pass": env["n_violations"] == 0},
             "mixing_fit": {"value": {"gamma": mix["gamma_fit"], "r2": mix["r2"]},
                            "pass": bool(mix["conclusive"] and (mix["gamma_fit"] or 1) < 1)},
+            # shared kicks cancel from w_A - w_B: d_k <= b_k chain by chain, up to roundoff
+            "mixing_coupling_bound": {"value": excess,
+                                      "pass": excess <= 1e-12 * mix["b_k"][0]},
             "slln_two_seed_overlap": {"value": slln["ci_overlap_all"],
                                       "pass": slln["ci_overlap_all"]},
             "stationary_cov_psd": {"value": stat["cov_min_eig"],

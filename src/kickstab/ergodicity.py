@@ -8,8 +8,8 @@ along the sigma ladder, and a total-variation Lipschitz bound for the
 projected kick density.  The first two are the certify stage's
 (``spectral.contraction_certificate`` and ``spectral.tail_contraction``);
 this module measures the third and then observes the conclusions directly
-on ensembles: decay of dual-Lipschitz distances between two initial states,
-and convergence of running averages.
+on ensembles: decay of dual-Lipschitz distances between two initial states
+stepped on shared kicks, and convergence of running averages.
 """
 
 from __future__ import annotations
@@ -94,9 +94,20 @@ def stable_state(dich, scale=1.0, seed=0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixingReport:
+    """Mixing from two starts, stepped on shared kicks (``mixing_decay``).
+
+    d_k is max over the observables of |mean over chains of f(w_A^k) - f(w_B^k)|,
+    se_k the standard error of that mean for the observable attaining the
+    maximum, and b_k = ||U T^k (c_A - c_B)||, which bounds d_k chain by chain.
+    The window (k_lo, k_hi), inclusive, is the run of steps k >= 2 with
+    d_k > 3 se_k and d_k > 0; an empty one reads (2, 1).  The fit
+    d_k ~ c_fit gamma_fit^k is taken over the window.
+    """
+
     d_k: np.ndarray
-    noise_floor: float
-    window: tuple            # (k_lo, k_hi) inclusive; empty -> (2, 1)
+    se_k: np.ndarray
+    b_k: np.ndarray
+    window: tuple
     c_fit: float | None
     gamma_fit: float | None
     r2: float | None
@@ -104,67 +115,86 @@ class MixingReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return asdict(self)   # canonical_json lists d_k and window
+        return asdict(self)   # canonical_json lists the arrays and the window
 
 
-def _ensemble_obs_means(step, pi, law, w0, n_chains, n_steps, seed_seq, observables):
-    """Per-step means over chains of the observables, shape (steps+1, size).
-
-    Each block of ``chain.ensemble_blocks`` is evaluated step by step and
-    its values are added to the running sums one chain after another, in
-    chain order, before the next block is stepped.
-    """
-    sums = np.zeros((n_steps + 1, observables.size))
-    for states in ensemble_blocks(step, pi, law, w0, n_chains, n_steps, seed_seq):
-        for k in range(n_steps + 1):
-            vals = observables.evaluate(states[:, k])
-            vals[0] += sums[k]
-            sums[k] = vals.sum(axis=0)
-    return sums / n_chains
+def _coupling_bound(step, w0_A, w0_B, n_steps) -> np.ndarray:
+    """b_k = ||U T^k (c_A - c_B)|| for k = 0..n_steps, from the step T alone."""
+    v = (np.asarray(w0_A, dtype=float) - np.asarray(w0_B, dtype=float)) @ step.U
+    b = np.empty(n_steps + 1)
+    for k in range(n_steps + 1):
+        b[k] = np.linalg.norm(step.U @ v)
+        v = step.T @ v
+    return b
 
 
 def mixing_decay(step, pi, law, w0_A, w0_B, n_chains, n_steps, observables,
                  seed) -> MixingReport:
-    """Dual-Lipschitz distance decay between two ensembles.
+    """Dual-Lipschitz distance decay between two starts on coupled chains.
 
-    d_k is the maximum over the observable set of the difference of
-    ensemble means.  The noise floor is the same statistic for two
-    ensembles started from the same state (same budget, fresh streams).
-    The exponential fit runs from k = 2 to the last k with
-    d_k > 3 * noise_floor and is flagged inconclusive when that window is
-    shorter than 5 steps or fits poorly.
+    Chain c draws its kicks once, on child c of ``seed``, and both starts
+    are stepped on them (synchronous coupling): one ``chain.ensemble_blocks``
+    ensemble with starts (w0_A, w0_B).  The kicks cancel from each chain's
+    difference f(w_A^k) - f(w_B^k), so for the Lipschitz-1 observables
+    |f(w_A^k) - f(w_B^k)| <= ||w_A^k - w_B^k|| = b_k holds chain by chain,
+    and d_k <= b_k up to roundoff.  Each block is evaluated step by step;
+    the differences, less chain 0's at that step (so the sum of squares
+    does not cancel), and their squares are added to running sums one chain
+    after another, in chain order, before the next block is stepped.
+
+    The exponential fit runs over the window (``MixingReport``) and is
+    flagged inconclusive when the window is shorter than 5 steps or the fit
+    has R^2 <= 0.9.
     """
     if n_chains < 2:
         raise ValueError("n_chains must be at least 2")
-    root = np.random.SeedSequence(seed)
-    sA, sB, sN1, sN2 = root.spawn(4)
-    mA = _ensemble_obs_means(step, pi, law, w0_A, n_chains, n_steps, sA, observables)
-    mB = _ensemble_obs_means(step, pi, law, w0_B, n_chains, n_steps, sB, observables)
-    d_k = np.max(np.abs(mA - mB), axis=1)
-    m1 = _ensemble_obs_means(step, pi, law, w0_A, n_chains, n_steps, sN1, observables)
-    m2 = _ensemble_obs_means(step, pi, law, w0_A, n_chains, n_steps, sN2, observables)
-    d_null = np.max(np.abs(m1 - m2), axis=1)
-    floor = float(np.mean(d_null[2:])) if len(d_null) > 2 else float(np.mean(d_null))
-    above = np.nonzero(d_k > 3.0 * floor)[0]
-    above = above[above >= 2]
-    if len(above) == 0:
-        return MixingReport(d_k=d_k, noise_floor=floor, window=(2, 1), c_fit=None,
-                            gamma_fit=None, r2=None, conclusive=False,
-                            note="InconclusiveFit: no step exceeds 3x noise floor")
-    k_hi = int(above.max())
+    ref = np.empty((n_steps + 1, observables.size))
+    sums = np.zeros((n_steps + 1, 2, observables.size))   # sum of x and of x^2
+    first = True
+    for states in ensemble_blocks(step, pi, law, np.stack([w0_A, w0_B]), n_chains, n_steps,
+                                  seed):
+        half = len(states) // 2   # rows: start A for each chain, then start B
+        for k in range(n_steps + 1):
+            vals = observables.evaluate(states[:, k])
+            diff = vals[:half] - vals[half:]
+            if first:
+                ref[k] = diff[0]
+            x = diff - ref[k]
+            terms = np.stack([x, x * x], axis=1)
+            terms[0] += sums[k]
+            sums[k] = terms.sum(axis=0)
+        first = False
+        del states   # else the loop holds this block while the next is stepped
+    mean = sums[:, 0] / n_chains
+    var = np.maximum((sums[:, 1] - n_chains * mean * mean) / (n_chains - 1), 0.0)
+    mean += ref
+    best = np.argmax(np.abs(mean), axis=1)
+    ks_all = np.arange(n_steps + 1)
+    d_k = np.abs(mean[ks_all, best])
+    se_k = np.sqrt(var[ks_all, best] / n_chains)
+    b_k = _coupling_bound(step, w0_A, w0_B, n_steps)
+    report = dict(d_k=d_k, se_k=se_k, b_k=b_k)
+    resolved = (d_k > 3.0 * se_k) & (d_k > 0.0)
+    k_hi = 1
+    while k_hi + 1 <= n_steps and resolved[k_hi + 1]:
+        k_hi += 1
+    if k_hi < 2:
+        return MixingReport(**report, window=(2, 1), c_fit=None, gamma_fit=None, r2=None,
+                            conclusive=False,
+                            note="InconclusiveFit: d_2 is not above 3 standard errors")
     ks = np.arange(2, k_hi + 1)
     if len(ks) < 5:
-        return MixingReport(d_k=d_k, noise_floor=floor, window=(2, k_hi), c_fit=None,
-                            gamma_fit=None, r2=None, conclusive=False,
+        return MixingReport(**report, window=(2, k_hi), c_fit=None, gamma_fit=None, r2=None,
+                            conclusive=False,
                             note="InconclusiveFit: window shorter than 5 steps")
-    logd = np.log(np.maximum(d_k[ks], 1e-300))
+    logd = np.log(d_k[ks])
     slope, intercept = np.polyfit(ks, logd, 1)
     resid = logd - (slope * ks + intercept)
     ss = float(np.sum((logd - logd.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss if ss > 0 else 1.0
     conclusive = r2 > 0.9
     return MixingReport(
-        d_k=d_k, noise_floor=floor, window=(2, k_hi),
+        **report, window=(2, k_hi),
         c_fit=float(np.exp(intercept)),
         gamma_fit=float(np.exp(slope)) if conclusive else None,
         r2=float(r2), conclusive=conclusive,

@@ -96,19 +96,21 @@ def test_chain_hooks_read_step_counts(ref_step, ref_pi, ref_law, ref_w0, ref_gam
 def test_ensemble_blocks_trace_one_run_ensemble_per_block(monkeypatch, ref_step, ref_pi,
                                                           ref_law, ref_w0):
     # the ensemble metrics count run_ensemble calls and their states, so
-    # every block must be one call through the rebindable chain.run_ensemble
+    # every block must be one call through the rebindable chain.run_ensemble;
+    # with two starts on shared kicks each chain is two trajectories
     n_chains, n_steps = 7, 5
     monkeypatch.setattr(kc, "BLOCK_ENTRIES", 3 * (n_steps + 1) * REF["n"])
-    tracer = lt.Tracer()
-    tracer.install()
-    try:
-        blocks = list(ensemble_blocks(ref_step, ref_pi, ref_law, ref_w0, n_chains, n_steps, 5))
-    finally:
-        tracer.uninstall()
-    assert len(blocks) >= 3
-    rec = tracer.summary()["chain.run_ensemble"]
-    assert rec["calls"] == len(blocks)
-    assert rec["steps"] == n_chains * n_steps
+    for w0, starts in ((ref_w0, 1), (np.stack([ref_w0, -ref_w0]), 2)):
+        tracer = lt.Tracer()
+        tracer.install()
+        try:
+            blocks = list(ensemble_blocks(ref_step, ref_pi, ref_law, w0, n_chains, n_steps, 5))
+        finally:
+            tracer.uninstall()
+        assert len(blocks) >= 3
+        rec = tracer.summary()["chain.run_ensemble"]
+        assert rec["calls"] == len(blocks)
+        assert rec["steps"] == starts * n_chains * n_steps
 
 
 def test_pipeline_dichotomy_exposes_stable_basis(tmp_path):

@@ -125,20 +125,27 @@ def test_ensemble_stream_contract(ref_step, ref_pi, ref_law, ref_kick_matrix, re
 @pytest.mark.parametrize("rows", [1, 8, 16])
 def test_ensemble_blocks_match_one_block(monkeypatch, ref_step, ref_pi, ref_law, ref_w0, rows):
     # the simulate stage's reduction, per-chain norms, from blocks of `rows`
-    # chains whose kicks are drawn a few rows per round
+    # state rows whose kicks are drawn a few rows per round; with two starts
+    # a block holds rows // 2 chains, each stepped from both
     n_chains, n_steps = 48, 20
-    whole = np.linalg.norm(run_ensemble(ref_step, ref_pi, ref_law, ref_w0, n_chains, n_steps, 5),
-                           axis=2)
+    starts_w0 = (ref_w0, np.stack([ref_w0, -ref_w0]))
+    wholes = [np.linalg.norm(run_ensemble(ref_step, ref_pi, ref_law, w0, n_chains, n_steps, 5),
+                             axis=2).reshape(-1, n_chains, n_steps + 1) for w0 in starts_w0]
     monkeypatch.setattr(kc, "BLOCK_ENTRIES", rows * (n_steps + 1) * REF["n"])
     monkeypatch.setattr(kk, "_ROUND_ENTRIES", 3 * REF["n"])
-    blocks = list(ensemble_blocks(ref_step, ref_pi, ref_law, ref_w0, n_chains, n_steps, 5))
-    assert [len(b) for b in blocks] == [rows] * (n_chains // rows)
-    norms = np.concatenate([np.linalg.norm(b, axis=2) for b in blocks])
-    if rows >= 8:
-        assert np.array_equal(norms, whole)
-    else:
-        # a one-row step product takes BLAS's matrix-vector path, which rounds differently
-        assert_allclose(norms, whole, rtol=1e-12, atol=0)
+    for w0, whole in zip(starts_w0, wholes):
+        starts = len(whole)
+        blocks = list(ensemble_blocks(ref_step, ref_pi, ref_law, w0, n_chains, n_steps, 5))
+        chains = max(1, rows // starts)
+        assert [len(b) for b in blocks] == [starts * chains] * (n_chains // chains)
+        # start-major rows within each block
+        norms = np.concatenate([np.linalg.norm(b, axis=2).reshape(starts, chains, -1)
+                                for b in blocks], axis=1)
+        if rows >= 8:
+            assert np.array_equal(norms, whole)
+        else:
+            # a one-row step product takes BLAS's matrix-vector path, which rounds differently
+            assert_allclose(norms, whole, rtol=1e-12, atol=0)
 
 
 def test_run_ensemble_takes_a_block_of_streams(ref_step, ref_pi, ref_law, ref_w0):
@@ -148,6 +155,29 @@ def test_run_ensemble_takes_a_block_of_streams(ref_step, ref_pi, ref_law, ref_w0
     assert_allclose(part, whole[5:], rtol=1e-12, atol=1e-15)
     with pytest.raises(ValueError):
         run_ensemble(ref_step, ref_pi, ref_law, ref_w0, 4, 20, streams[5:])
+
+
+def test_starts_share_kicks(ref_step, ref_pi, ref_law, ref_w0):
+    # row i*chains + c is start i on chain c's kicks: each start matches its
+    # own ensemble, and the kicks cancel from the difference of two starts
+    n_chains, n_steps = 8, 20
+    w0_B = 0.3 * ref_w0
+    both = run_ensemble(ref_step, ref_pi, ref_law, np.stack([ref_w0, w0_B]), n_chains,
+                        n_steps, 5)
+    assert both.shape == (2 * n_chains, n_steps + 1, REF["n"])
+    for i, w0 in enumerate((ref_w0, w0_B)):
+        assert_allclose(both[i * n_chains:(i + 1) * n_chains],
+                        run_ensemble(ref_step, ref_pi, ref_law, w0, n_chains, n_steps, 5),
+                        rtol=1e-12, atol=1e-15)
+    c = (ref_w0 - w0_B) @ ref_step.U
+    for k in range(n_steps + 1):
+        assert_allclose(both[:n_chains, k] - both[n_chains:, k],
+                        np.broadcast_to(ref_step.U @ c, (n_chains, REF["n"])), rtol=0, atol=1e-15)
+        c = ref_step.T @ c
+    # every start must lie in X_sigma
+    outside = ref_pi.dichotomy.D[:, 0]
+    with pytest.raises(ValueError):
+        run_ensemble(ref_step, ref_pi, ref_law, np.stack([ref_w0, outside]), 2, 3, 5)
 
 
 def test_uncontrolled_requires_instability(ref_law):

@@ -104,13 +104,18 @@ def test_condition_check_degenerate_law_flagged(ref_ladder, ref_pi, ref_kick_mat
 
 def test_mixing_same_start_is_noise(mix_step, ref_pi, ref_kick_matrix, ref_dichotomy,
                                     observables):
+    # two ensembles from one start on independent kick streams differ only by
+    # Monte-Carlo error
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     root = np.random.SeedSequence(99)
     sA, sB = root.spawn(2)
-    from kickstab.ergodicity import _ensemble_obs_means
-    mA = _ensemble_obs_means(mix_step, ref_pi, law, w0, 200, 20, sA, observables)
-    mB = _ensemble_obs_means(mix_step, ref_pi, law, w0, 200, 20, sB, observables)
+
+    def obs_means(seed_seq):
+        states = run_ensemble(mix_step, ref_pi, law, w0, 200, 20, seed_seq)
+        return observables.evaluate(states.reshape(-1, REF["n"])).reshape(200, 21, -1).mean(0)
+
+    mA, mB = obs_means(sA), obs_means(sB)
     # per-observable MC error of the difference of means
     law2 = fresh_law(ref_kick_matrix)
     states = run_ensemble(mix_step, ref_pi, law2, w0, 200, 20, np.random.SeedSequence(98))
@@ -128,27 +133,30 @@ def test_mixing_same_start_is_noise(mix_step, ref_pi, ref_kick_matrix, ref_dicho
 @pytest.mark.parametrize("rows", [1, 8, 16])
 def test_block_size_does_not_change_mixing_or_slln(monkeypatch, mix_step, ref_step, ref_pi,
                                                     ref_law, ref_dichotomy, observables, rows):
-    from kickstab.ergodicity import _ensemble_obs_means
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     n_chains, n_steps = 48, 20
 
     def run():
-        means = _ensemble_obs_means(mix_step, ref_pi, ref_law, w0, n_chains, n_steps,
-                                    np.random.SeedSequence(4), observables)
-        return means, slln_average(ref_step, ref_pi, ref_law, w0, 3000, observables, seed=6)
+        rep = mixing_decay(mix_step, ref_pi, ref_law, w0, -w0, n_chains, n_steps, observables,
+                           seed=4)
+        return rep, slln_average(ref_step, ref_pi, ref_law, w0, 3000, observables, seed=6)
 
-    means, slln = run()
-    # blocks of `rows` chains, kick rounds of 3 rows
+    rep, slln = run()
+    # blocks of `rows` state rows (rows // 2 chains, two starts each), kick
+    # rounds of 3 rows
     monkeypatch.setattr(kc, "BLOCK_ENTRIES", rows * (n_steps + 1) * REF["n"])
     monkeypatch.setattr(kk, "_ROUND_ENTRIES", 3 * REF["n"])
     assert kc.BLOCK_ENTRIES // observables.centers.size < 3001   # several radial blocks
-    means_b, slln_b = run()
+    rep_b, slln_b = run()
     assert canonical_json(slln_b) == canonical_json(slln)
     if rows >= 8:
-        assert np.array_equal(means_b, means)
+        assert canonical_json(rep_b.to_json_dict()) == canonical_json(rep.to_json_dict())
     else:
-        # one-row step products take BLAS's matrix-vector path
-        np.testing.assert_allclose(means_b, means, rtol=1e-12, atol=0)
+        # one-chain blocks: the step product of two rows rounds differently
+        for name in ("d_k", "se_k", "b_k"):
+            np.testing.assert_allclose(getattr(rep_b, name), getattr(rep, name),
+                                       rtol=1e-9, atol=1e-15)
+        assert rep_b.window == rep.window
 
 
 def test_mixing_deterministic_bound_without_kicks(ref_model, mix_step, ref_pi,
@@ -192,13 +200,87 @@ def test_mixing_report_bitwise_reproducible(mix_step, ref_pi, ref_kick_matrix,
 
 def test_mixing_inconclusive_when_window_short(mix_step, ref_pi, ref_kick_matrix,
                                                ref_dichotomy, observables):
-    # identical initial states: every d_k sits at the noise floor
+    # identical starts on shared kicks are the same chain: every difference,
+    # and so every d_k and its standard error, is exactly 0
     law = fresh_law(ref_kick_matrix)
     w0 = stable_state(ref_dichotomy, 0.5, seed=3)
     rep = mixing_decay(mix_step, ref_pi, law, w0, w0, 50, 20, observables, seed=23)
+    assert np.all(rep.d_k == 0.0) and np.all(rep.se_k == 0.0) and np.all(rep.b_k == 0.0)
+    assert rep.window == (2, 1)
     assert not rep.conclusive
     assert rep.gamma_fit is None
     assert "InconclusiveFit" in rep.note
+
+
+def _coupling_excess(rep):
+    # the report's mixing_coupling_bound predicate is excess <= 1e-12 b_0
+    return float(np.max(rep.d_k - rep.b_k)) - 1e-12 * rep.b_k[0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+def test_mixing_coupling_bound_has_power(monkeypatch, mix_step, ref_pi, ref_kick_matrix,
+                                         ref_dichotomy, observables, scale):
+    # a kernel that steps with 1.5 M still mixes, so the fit passes, but its
+    # chains separate faster than the true step T allows
+    propagate = kc.propagate
+    monkeypatch.setattr(kc, "propagate",
+                        lambda M, B, w0, kicks: propagate(scale * M, B, w0, kicks))
+    law = fresh_law(ref_kick_matrix)
+    w0 = stable_state(ref_dichotomy, 0.5, seed=3)
+    rep = mixing_decay(mix_step, ref_pi, law, w0, -w0, 100, 60, observables, seed=12)
+    assert rep.conclusive and rep.gamma_fit < 1.0          # mixing_fit passes
+    assert (_coupling_excess(rep) > 0.0) == (scale != 1.0)  # mixing_coupling_bound
+
+
+def test_mixing_linear_observables_exact(mix_step, ref_pi, ref_kick_matrix, ref_dichotomy):
+    # with no clipping, each chain's difference <u, w_A - w_B> is exactly
+    # <u, U T^k (c_A - c_B)>: the kicks cancel
+    linear = make_observables(REF["n"], 20, 0, seed=9)
+    law = fresh_law(ref_kick_matrix)
+    w0 = stable_state(ref_dichotomy, 0.5, seed=3)
+    n_chains, n_steps = 100, 60
+    rep = mixing_decay(mix_step, ref_pi, law, w0, -w0, n_chains, n_steps, linear, seed=12)
+    states = run_ensemble(mix_step, ref_pi, law, np.stack([w0, -w0]), n_chains, n_steps, 12)
+    assert np.max(np.abs(states @ linear.U.T)) < 1.0   # no observable clips
+    c, exact = (2 * w0) @ mix_step.U, np.empty(n_steps + 1)
+    for k in range(n_steps + 1):
+        exact[k] = np.max(np.abs(linear.U @ (mix_step.U @ c)))
+        c = mix_step.T @ c
+    assert np.max(np.abs(rep.d_k - exact)) <= 1e-12 * rep.b_k[0]
+    assert np.all(rep.se_k < 1e-12)
+    # b_k is ||U T^k (c_A - c_B)||: 2 ||w0|| at k = 0, contracting by gamma0 per step
+    assert rep.b_k[0] == pytest.approx(np.linalg.norm(2 * w0), rel=1e-14)
+    g0, _ = ks.spectral.contraction_certificate(mix_step)
+    assert np.all(rep.b_k[1:] <= g0 * rep.b_k[:-1] * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("seed_override", [11, 25, 101])
+def test_mixing_fit_does_not_depend_on_the_frame_of_w0(tmp_path, seed_override):
+    # w0's coefficients drawn in the Schur frame Z[:, m:] of X_sigma, not in
+    # stable_basis; under the former noise-floor window the fit was inconclusive here
+    from kickstab.cli import Pipeline
+    from kickstab.config import config_from_dict
+    from kickstab.spectral import _ordered_schur
+
+    pipe = Pipeline(config_from_dict({"kick": {"eps_hat": 0.01}}), str(tmp_path),
+                    seed_override=seed_override)
+    cfg, mix = pipe.cfg, pipe.cfg.mixing
+    _, Z, (m,) = _ordered_schur(pipe.model(), [cfg.model.sigma])
+    frame = Z[:, m:]
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.run.w0_seed, spawn_key=(7,)))
+    v = frame @ rng.standard_normal(frame.shape[1])
+    w0 = mix.w0_scale * v / np.linalg.norm(v)
+    step = pipe.step(mix.tau)
+    obs = make_observables(cfg.model.n, mix.n_linear, mix.n_radial, seed=mix.obs_seed,
+                           radial_scale=mix.radial_scale)
+    rep = mixing_decay(step, pipe.controller(), pipe.law(), w0, -w0, mix.n_chains,
+                       mix.n_steps, obs, mix.seed)
+    assert rep.conclusive and rep.gamma_fit < 1.0    # mixing_fit passes
+    assert _coupling_excess(rep) <= 0.0
+    # the fit starts at k = 2, where this start's faster modes still pull
+    # d_k down: gamma_fit reads 0.475 against rho = 0.490 at these seeds
+    rho = np.max(np.abs(np.linalg.eigvals(step.T)))
+    assert abs(rep.gamma_fit - rho) < 0.025
 
 
 def test_slln_running_averages_converge(ref_step, ref_pi, ref_kick_matrix,
