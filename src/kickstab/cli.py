@@ -68,6 +68,7 @@ from .spectral import (
     contraction_certificate,
     eig_split,
     riesz_projector,
+    riesz_rule,
     sigma_ladder,
     stable_step,
     tail_contraction,
@@ -233,9 +234,10 @@ class Pipeline:
             grid[str(t)] = gamma0 if t == tau else contraction_certificate(step_t)[0]
         gammas = tail_contraction(self.ladder(), self.step(tau))
         # two independent constructions of one projector: ordered real Schur
-        # vs quadrature
+        # vs quadrature, on per-edge node counts fixed by the spectrum
         P_schur = _spectral_projector_schur(model, sigma)
         P_quad = riesz_projector(model, sigma)
+        _, riesz_nodes, riesz_capped = riesz_rule(model, sigma)
         I1, I2 = contour_bound_integrals(model, sigma, tau)
         doc = {
             "tau": tau,
@@ -245,6 +247,9 @@ class Pipeline:
             "tail_gammas": gammas.tolist(),
             "riesz_idempotency_residual": float(np.linalg.norm(P_quad @ P_quad - P_quad)),
             "riesz_schur_residual": float(np.linalg.norm(P_quad - P_schur)),
+            "schur_projector_norm": float(np.linalg.norm(P_schur)),
+            "riesz_nodes": riesz_nodes,
+            "riesz_capped": riesz_capped,
             "contour_I1": I1,
             "contour_I2": I2,
         }
@@ -275,10 +280,11 @@ class Pipeline:
         emit_series(pt, cols, [[k, norms[k]] + list(states[k]) for k in range(n_steps + 1)])
 
         w0_norm = float(np.linalg.norm(w0))
-        ens_norms = np.concatenate([
-            np.linalg.norm(block, axis=2)
-            for block in ensemble_blocks(step, pi, law, w0, cfg.run.n_chains, n_steps,
-                                         cfg.run.seed)])
+        ens_norms = []
+        for block in ensemble_blocks(step, pi, law, w0, cfg.run.n_chains, n_steps, cfg.run.seed):
+            ens_norms.append(np.linalg.norm(block, axis=2))
+            del block   # else the loop holds this block while the next is stepped
+        ens_norms = np.concatenate(ens_norms)
         rep = envelope_check(ens_norms, w0_norm, gamma0, pi.norm_Pi, law.eps_hat)
         rep["n_chains"] = cfg.run.n_chains
         bound = envelope_bound(n_steps, w0_norm, gamma0, pi.norm_Pi, law.eps_hat)
@@ -425,6 +431,10 @@ class Pipeline:
             "tail_strictly_decreasing": {"value": tails,
                                          "pass": bool(np.all(np.diff(tails) < 0))
                                          and tails[-1] < 0.5 * cert["gamma0"]},
+            # the quadrature projector against the ordered-Schur one
+            "riesz_cross_check": {"value": cert["riesz_schur_residual"],
+                                  "pass": cert["riesz_schur_residual"]
+                                  <= 1e-12 * max(1.0, cert["schur_projector_norm"])},
             "tv_ratio_stable": {"value": tv.get("max_ratio"), "pass": tv["pass"]},
             "envelope_zero_violations": {"value": env["n_violations"],
                                          "pass": env["n_violations"] == 0},

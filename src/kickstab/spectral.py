@@ -14,8 +14,9 @@ Schur-based routine derives from it with no new factorization:
     the quadrature projector ``riesz_projector`` against.
   - ``OseenModel.complex_schur``, the form flipped and made complex
     triangular by ``rsf2csf``, carries the Riesz quadrature (one triangular
-    inverse per node of a fixed _RIESZ_NODES-node rule on a rectangle) and
-    the contour resolvent norms.
+    inverse per node of a Gauss-Legendre rule on a rectangle, each edge's
+    count set by the Bernstein ellipse of the spectrum for a 1e-16 target, at
+    most _RIESZ_EDGE_CAP per edge) and the contour resolvent norms.
 X_sigma = (span D)^perp is A-invariant: in its basis U (``stable_basis``) the
 chain's generator is A_sigma = U^T A U, and ``stable_step`` forms its step
 T = e^{-tau A_sigma} = U^T S(tau) U, from which gamma_0 = ||T||_2 and the tail
@@ -51,6 +52,7 @@ __all__ = [
     "SigmaLadder",
     "eig_split",
     "riesz_projector",
+    "riesz_rule",
     "semigroup",
     "StableStep",
     "stable_step",
@@ -61,7 +63,8 @@ __all__ = [
 ]
 
 _LANCZOS_RTOL = 1e-14  # relative Ritz residual at which inverse Lanczos stops
-_RIESZ_NODES = 256     # Gauss-Legendre nodes on the Riesz rectangle, shared by its four edges
+_RIESZ_TARGET = 1e-16  # quadrature error each Riesz edge's node count aims at
+_RIESZ_EDGE_CAP = 256  # the most Gauss-Legendre nodes on one Riesz edge
 
 
 def _as_matrix(model_or_A) -> np.ndarray:
@@ -201,24 +204,48 @@ def eig_split(model, sigma, gap_tol=1e-6) -> Dichotomy:
                      stable_basis=_complement_basis(D))
 
 
-def _rectangle_nodes(re_lo, re_hi, im_lo, im_hi, n_nodes):
-    """Counterclockwise nodes/weights on a closed rectangle, Gauss-Legendre
-    per edge.  (A single trapezoid rule around the cornered contour is only
-    O(h^2); per-edge Gauss nodes keep the exponential convergence needed at
-    a few hundred nodes.)"""
+def _rectangle_edges(re_lo, re_hi, im_lo, im_hi):
+    """(mid, half) of each edge of a closed rectangle, counterclockwise from
+    the lower right corner (right, top, left, bottom): the edge is
+    mid + half * t for t in [-1, 1]."""
     corners = [complex(re_hi, im_lo), complex(re_hi, im_hi),
                complex(re_lo, im_hi), complex(re_lo, im_lo)]
-    lengths = [abs(corners[(i + 1) % 4] - corners[i]) for i in range(4)]
-    per = sum(lengths)
+    return [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(corners, corners[1:] + corners[:1])]
+
+
+def _rectangle_nodes(re_lo, re_hi, im_lo, im_hi, counts):
+    """Counterclockwise nodes/weights on a closed rectangle, Gauss-Legendre
+    per edge with counts[e] nodes on edge e (right, top, left, bottom).  (A
+    single trapezoid rule around the cornered contour is only O(h^2);
+    per-edge Gauss nodes converge geometrically.)"""
     nodes, weights = [], []
-    for i in range(4):
-        a, bpt = corners[i], corners[(i + 1) % 4]
-        ne = max(2, int(round(n_nodes * lengths[i] / per)))
-        t, w = np.polynomial.legendre.leggauss(ne)
-        mid, half = 0.5 * (a + bpt), 0.5 * (bpt - a)
+    for (mid, half), count in zip(_rectangle_edges(re_lo, re_hi, im_lo, im_hi), counts):
+        t, w = np.polynomial.legendre.leggauss(count)
         nodes.extend(mid + half * t)
         weights.extend(half * w)
     return np.array(nodes), np.array(weights)
+
+
+def _bernstein_counts(ev, re_lo, re_hi, im_lo, im_hi) -> tuple:
+    """(counts, capped): each edge's Gauss-Legendre count for the Riesz
+    rectangle, and whether the cap bound on some edge.
+
+    On an edge mapped onto [-1, 1], the resolvent is analytic inside the
+    smallest Bernstein ellipse through an eigenvalue t, whose parameter is
+    rho = |t +- sqrt(t^2 - 1)| (the larger of the two); an N-node rule then
+    errs by O(rho^{-2N}) (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, Thm 19.3).  So N = ceil(ln(1/_RIESZ_TARGET) / (2 ln rho)),
+    at least 2 and at most _RIESZ_EDGE_CAP.
+    """
+    counts, capped = [], False
+    for mid, half in _rectangle_edges(re_lo, re_hi, im_lo, im_hi):
+        t = (np.asarray(ev, dtype=complex) - mid) / half
+        s = np.sqrt(t * t - 1.0)
+        rho = float(np.min(np.maximum(np.abs(t + s), np.abs(t - s))))
+        need = -np.log(_RIESZ_TARGET) / (2.0 * np.log(rho)) if rho > 1.0 else np.inf
+        capped = capped or bool(need > _RIESZ_EDGE_CAP)
+        counts.append(int(min(_RIESZ_EDGE_CAP, max(2, np.ceil(need)))))
+    return counts, capped
 
 
 def _contour_integral(model_or_A, nodes, weights, dist_tol=1e-8):
@@ -253,12 +280,13 @@ def _contour_integral(model_or_A, nodes, weights, dist_tol=1e-8):
     return acc.real
 
 
-def riesz_projector(model, sigma, gap_tol=1e-6) -> np.ndarray:
-    """Riesz projector onto modes with Re < sigma by rectangle quadrature.
+def riesz_rule(model, sigma, gap_tol=1e-6) -> tuple:
+    """(rect, counts, capped) of ``riesz_projector``'s quadrature.
 
-    The closed rectangle has its right edge on {Re = sigma}; margins are
-    half the spectral gap.  With no enclosed eigenvalue the result is the
-    zero matrix.
+    rect = (re_lo, sigma, -H, H) is the closed rectangle with its right edge
+    on {Re = sigma} and margins of half the spectral gap; with no enclosed
+    eigenvalue it is (sigma - 1, sigma, -1, 1).  counts and capped are
+    ``_bernstein_counts`` on it: a fixed function of the spectrum and sigma.
     """
     ev = _eigvals(model)
     gap = float(np.min(np.abs(ev.real - sigma)))
@@ -270,7 +298,23 @@ def riesz_projector(model, sigma, gap_tol=1e-6) -> np.ndarray:
         H = float(np.max(np.abs(enclosed.imag))) + 0.5 * gap
     else:
         re_lo, H = sigma - 1.0, 1.0
-    nodes, weights = _rectangle_nodes(re_lo, sigma, -H, H, _RIESZ_NODES)
+    rect = (re_lo, float(sigma), -H, H)
+    return (rect, *_bernstein_counts(ev, *rect))
+
+
+def riesz_projector(model, sigma, gap_tol=1e-6) -> np.ndarray:
+    """Riesz projector onto modes with Re < sigma by rectangle quadrature.
+
+    Each edge of the ``riesz_rule`` rectangle carries the Gauss-Legendre
+    count that the smallest Bernstein ellipse through an eigenvalue allows
+    for a 1e-16 error (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, Thm 19.3), capped at _RIESZ_EDGE_CAP nodes per edge.
+    Where the cap binds, the shortfall shows in the residual against the
+    Schur projector, which certify records and report checks.  With no
+    enclosed eigenvalue the result is the zero matrix.
+    """
+    rect, counts, _ = riesz_rule(model, sigma, gap_tol)
+    nodes, weights = _rectangle_nodes(*rect, counts)
     return _contour_integral(model, nodes, weights)
 
 

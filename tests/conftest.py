@@ -1,5 +1,6 @@
-"""Shared fixtures (the reference model and its assembled components) and
-the support-ellipsoid reference shared by the kick and density tests.
+"""Shared fixtures (the reference model and its assembled components), the
+support-ellipsoid reference shared by the kick and density tests, and the
+length-proportional contour rule shared by the spectral and pipeline tests.
 
 Reference configuration (n = 20, d = 2, one unstable eigenvalue, sigma = 0.5,
 b = 0.5, eps_hat = 0.01, K following the j^-2 trace-class pattern scaled so
@@ -50,6 +51,15 @@ def support_ellipsoid_membership(alpha_op, eps_hat, x) -> bool:
     yhat = np.linalg.solve(A.T @ A + np.eye(A.shape[1]), A.T @ x)
     resid = x - A @ yhat
     return float(resid @ resid + yhat @ yhat) <= eps_hat ** 2
+
+
+def length_split_counts(re_lo, re_hi, im_lo, im_hi, n_nodes):
+    """Per-edge Gauss-Legendre counts (right, top, left, bottom) sharing
+    n_nodes in proportion to edge length, at least 2 each: the reference rule
+    for contour quadratures over a rectangle that holds the whole spectrum
+    well inside it."""
+    lengths = [im_hi - im_lo, re_hi - re_lo] * 2
+    return [max(2, int(round(n_nodes * length / sum(lengths)))) for length in lengths]
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from kickstab.artifacts import emit_series, file_checksum
 from kickstab.cli import Pipeline, main
 from kickstab.config import ExperimentConfig, config_from_dict, load_config, save_config
 from kickstab.errors import DegenerateCovariance, EmptyMiddleBlock, ParseError, ValidationError
+from tests.conftest import length_split_counts
 
 
 def small_config(tmp_path, **overrides):
@@ -462,6 +463,34 @@ def test_certificate_records_riesz_schur_residual(tmp_path):
     assert json.load(open(os.path.join(out, "dichotomy.json")))["m"] == 1
     cert = json.load(open(os.path.join(out, "certificate.json")))
     assert cert["riesz_schur_residual"] <= 1e-10
+    # per-edge Gauss-Legendre counts (right, top, left, bottom) from the spectrum
+    assert cert["riesz_nodes"] == [13, 29, 21, 29] and cert["riesz_capped"] is False
+
+
+def test_riesz_cross_check_fails_a_length_split_rule(tmp_path, monkeypatch, capsys):
+    # b = 50 makes the Riesz rectangle long and thin (12.6 x 0.69).  256
+    # nodes split by edge length leave 7 on each short edge, where the left
+    # one needs 21, and the report names the check
+    path = small_config(tmp_path, run={"uncontrolled_steps": 10})
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["model"] = {"b": 50.0}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out = os.path.join(tmp_path, "out")
+
+    def failing(argv):
+        capsys.readouterr()
+        main(argv)
+        line = capsys.readouterr().out.splitlines()[-1]
+        return line.split(": ", 1)[1].split(", ") if ": " in line else []
+
+    assert "riesz_cross_check" not in failing(["all", "--config", path, "--out", out])
+    monkeypatch.setattr("kickstab.spectral._bernstein_counts",
+                        lambda ev, *rect: (length_split_counts(*rect, 256), False))
+    main(["certify", "--config", path, "--out", out])
+    assert json.load(open(os.path.join(out, "certificate.json")))["riesz_nodes"] == [7, 121, 7, 121]
+    assert "riesz_cross_check" in failing(["report", "--config", path, "--out", out])
 
 
 def test_report_names_failing_checks(tmp_path, capsys):
@@ -475,6 +504,8 @@ def test_report_names_failing_checks(tmp_path, capsys):
         ("certificate.json", lambda doc: doc["tail_gammas"].reverse(),
          "tail_strictly_decreasing"),
         ("tv.json", lambda doc: doc.update({"pass": False}), "tv_ratio_stable"),
+        ("certificate.json", lambda doc: doc.update(riesz_schur_residual=1.9e-6),
+         "riesz_cross_check"),
     ]
     for name, edit, check in cases:
         artifact = os.path.join(out, name)

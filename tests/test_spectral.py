@@ -22,7 +22,7 @@ from kickstab.spectral import (
 )
 from kickstab.config import config_from_dict
 from kickstab.model_builder import build_oseen, synth_stokes_spectrum
-from tests.conftest import REF
+from tests.conftest import REF, length_split_counts
 
 
 def _stable_projector(d):
@@ -32,14 +32,15 @@ def _stable_projector(d):
 
 def _contour_semigroup(model_or_A, tau, n_nodes=512):
     """Reference S(tau): (2 pi i)^{-1} * resolvent * e^{-lambda tau} over a
-    rectangle enclosing the whole spectrum, by the Riesz quadrature's rule."""
+    rectangle enclosing the whole spectrum, n_nodes split by edge length."""
     ev = sp._eigvals(model_or_A)
     spread = max(1.0, float(ev.real.max() - ev.real.min()))
     margin = max(0.5, 0.05 * spread)
     re_lo = float(ev.real.min()) - margin
     re_hi = float(ev.real.max()) + margin
     H = float(np.max(np.abs(ev.imag))) + margin
-    nodes, weights = sp._rectangle_nodes(re_lo, re_hi, -H, H, n_nodes)
+    counts = length_split_counts(re_lo, re_hi, -H, H, n_nodes)
+    nodes, weights = sp._rectangle_nodes(re_lo, re_hi, -H, H, counts)
     return sp._contour_integral(model_or_A, nodes, weights * np.exp(-nodes * tau))
 
 
@@ -150,16 +151,24 @@ def _reference_projector(A, sigma):
     return Z @ P_T @ Z.T
 
 
+def _config_model(**fields):
+    """(model, sigma) of the default model config with the given fields."""
+    m = config_from_dict({"model": fields, "kick": {"eps_hat": 0.01}}).model
+    spec = synth_stokes_spectrum(m.n, m.d, m.beta0, m.remainder_scale, m.spectrum_seed)
+    return build_oseen(spec, m.b, m.n_unstable, m.build_sigma, m.obs_idx, m.seed,
+                       gap_tol=m.build_gap_tol), m.sigma
+
+
 def _schur_case(name, request):
-    """(model or shim, sigma) for the four reference cases of the Schur core."""
+    """(model or shim, sigma) for the four reference cases of the Schur core,
+    and "b50": the default model with b = 50, whose Riesz rectangle is long
+    and thin (12.6 x 0.69)."""
     if name == "reference":
         return request.getfixturevalue("ref_model"), REF["sigma"]
     if name == "density_m2":
-        m = config_from_dict({"model": {"n_unstable": 2, "b": 2.0, "spectrum_seed": 18},
-                              "kick": {"eps_hat": 0.01}}).model
-        spec = synth_stokes_spectrum(m.n, m.d, m.beta0, m.remainder_scale, m.spectrum_seed)
-        return build_oseen(spec, m.b, m.n_unstable, m.build_sigma, m.obs_idx, m.seed,
-                           gap_tol=m.build_gap_tol), m.sigma
+        return _config_model(n_unstable=2, b=2.0, spectrum_seed=18)
+    if name == "b50":
+        return _config_model(b=50.0)
     if name == "jordan":
         A = np.diag([10.0, 4.0, 4.0, -0.5, 30.0, 60.0])
         A[1, 2] = 1.0
@@ -256,18 +265,45 @@ def test_riesz_matches_eigensolver_projector():
     assert np.linalg.norm(Pq - Ps) < 1e-8
 
 
-def test_riesz_schur_coordinates_match_sorted_schur(ref_model):
-    # the default model, and a dense non-normal matrix with a Jordan block
-    # at -1 inside the contour
+def test_riesz_schur_coordinates_match_sorted_schur(ref_model, request):
+    # the default model, a dense non-normal matrix with a Jordan block at -1
+    # inside the contour, and the long, thin rectangle of b = 50
     rng = np.random.default_rng(4)
     T = np.diag([-1.0, -1.0, 2.0, 3.0, 4.5, 6.0])
     T[0, 1] = 1.0
     T += 0.5 * np.triu(rng.standard_normal((6, 6)), 2)
     Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-    for A in (ref_model, Q @ T @ Q.T):
-        P = riesz_projector(A, REF["sigma"])
-        Ps = sp._spectral_projector_schur(sp._as_matrix(A), REF["sigma"])
+    b50, sigma = _schur_case("b50", request)
+    for A, level in ((ref_model, REF["sigma"]), (Q @ T @ Q.T, REF["sigma"]), (b50, sigma)):
+        P = riesz_projector(A, level)
+        Ps = sp._spectral_projector_schur(sp._as_matrix(A), level)
         assert np.linalg.norm(P - Ps) < 1e-12
+
+
+@pytest.mark.parametrize("name", _SCHUR_CASES + ("b50",))
+def test_riesz_rule_converged(name, request):
+    # doubling every edge's count moves the projector by roundoff only: the
+    # rule has converged, not merely agreed with the Schur projector
+    model, sigma = _schur_case(name, request)
+    rect, counts, capped = sp.riesz_rule(model, sigma)
+    assert not capped
+    P = riesz_projector(model, sigma)
+    nodes, weights = sp._rectangle_nodes(*rect, [2 * c for c in counts])
+    P2 = sp._contour_integral(model, nodes, weights)
+    assert np.linalg.norm(P2 - P) < 1e-13 * max(1.0, np.linalg.norm(P))
+
+
+def test_riesz_rule_capped_near_the_spectrum():
+    # sigma 1e-3 from an eigenvalue: uncapped, the long edges would take
+    # 1469 nodes each; at the cap the quadrature still returns, and its
+    # shortfall is left for the residual against the Schur projector to show
+    rng = np.random.default_rng(3)
+    A = np.diag([-1.0, 0.5, 2.0, 3.0, 4.0, 5.0]) + 0.3 * np.triu(rng.standard_normal((6, 6)), 1)
+    sigma = 0.501
+    _, counts, capped = sp.riesz_rule(A, sigma)
+    assert capped and max(counts) == sp._RIESZ_EDGE_CAP
+    residual = np.linalg.norm(riesz_projector(A, sigma) - sp._spectral_projector_schur(A, sigma))
+    assert 1e-12 < residual < np.inf
 
 
 # -- semigroup -------------------------------------------------------------
