@@ -9,6 +9,13 @@ artifacts into the output directory; re-running a config reproduces
 identical checksums.  Report reads those artifacts only: it builds no model
 and recomputes no hypothesis.
 
+``manifest.json`` holds ``version``, ``threads`` and one record per stage,
+``{"artifacts", "config_hash", "elapsed_s"}``.  A stage after synth runs only
+on a ``model.json`` recorded under the running config's hash, and report reads
+each artifact through ``Pipeline.load``, which asks the same of its record:
+``MissingPrerequisite`` if the artifact is absent, ``StaleArtifact`` if another
+config wrote it.  Stage order is otherwise free.
+
 Exit codes: 0 success, 1 a verification check failed, 2 usage error,
 3 runtime error.
 """
@@ -58,7 +65,7 @@ from .ergodicity import (
     stable_state,
     stationary_stats,
 )
-from .errors import EmptyMiddleBlock, KickstabError, MissingPrerequisite
+from .errors import EmptyMiddleBlock, KickstabError, MissingPrerequisite, StaleArtifact
 from .feedback import build_pi, make_control_geometry
 from .kicks import make_kick_law
 from .model_builder import build_oseen, synth_stokes_spectrum
@@ -75,17 +82,6 @@ from .spectral import (
 )
 
 STAGES = ("synth", "dichotomy", "certify", "simulate", "density", "mixing", "report")
-
-_PREREQS = {
-    "synth": (),
-    "dichotomy": ("model.json",),
-    "certify": ("dichotomy.json",),
-    "simulate": ("certificate.json",),
-    "density": ("dichotomy.json",),
-    "mixing": ("certificate.json",),
-    "report": ("certificate.json", "envelope.json", "blowup.json", "density.json",
-               "mixing.json", "slln.json", "stationary.json", "tv.json"),
-}
 
 
 # the OpenBLAS copies numpy and scipy bundle, and each one's thread-count setter
@@ -118,7 +114,10 @@ class Pipeline:
     and the artifact dir.  The chain is read through ``step``: one X_sigma step
     T = e^{-tau A_sigma} per tau; only ``uncontrolled_demo`` forms S(tau).
     Building one pins numpy's and scipy's OpenBLAS to one thread
-    (``pin_blas_threads``); the manifest records the count as ``threads``."""
+    (``pin_blas_threads``); the manifest records the count as ``threads``.
+    ``run_stage`` runs a stage after synth only on a ``model.json`` recorded
+    under this config's hash, then records the stage's artifact checksums, config
+    hash and ``elapsed_s``; building a Pipeline does no manifest I/O."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir, seed_override=None):
         if seed_override is not None:
@@ -130,7 +129,7 @@ class Pipeline:
         self.out = out_dir
         os.makedirs(out_dir, exist_ok=True)
         self._cache = {}
-        self._manifest_path = os.path.join(out_dir, "manifest.json")
+        self._stage = None   # the stage run_stage is running, named by MissingPrerequisite
 
     # -- component construction (deterministic, cheap; rebuilt per stage) --
 
@@ -168,34 +167,31 @@ class Pipeline:
     def path(self, name):
         return os.path.join(self.out, name)
 
+    def _stages(self):
+        """The manifest's stage records; none before the first stage has run."""
+        if not os.path.exists(self.path("manifest.json")):
+            return {}
+        with open(self.path("manifest.json"), "r", encoding="utf-8") as fh:
+            return json.load(fh)["stages"]
+
+    def _require(self, name):
+        """Raise unless artifact ``name`` exists and the record that lists it has this config."""
+        if not os.path.exists(self.path(name)):
+            raise MissingPrerequisite(f"stage '{self._stage}' requires artifact {name}; "
+                                      "run the stage that writes it first")
+        if not any(name in rec["artifacts"] and rec.get("config_hash") == self.config_hash()
+                   for rec in self._stages().values()):
+            raise StaleArtifact(f"artifact {name} in {self.out} was not written under this "
+                                "config; rerun its stage under this config, or run 'all'")
+
     def load(self, name):
+        """A JSON artifact, once ``_require`` holds: the one way report reads an artifact."""
+        self._require(name)
         with open(self.path(name), "r", encoding="utf-8") as fh:
             return json.load(fh)
 
-    def require(self, stage):
-        for name in _PREREQS[stage]:
-            if not os.path.exists(self.path(name)):
-                raise MissingPrerequisite(
-                    f"stage '{stage}' requires artifact {name}; run the earlier stages first")
-
-    def _load_manifest(self):
-        if os.path.exists(self._manifest_path):
-            return self.load("manifest.json")
-        return {"config_hash": self.config_hash(), "version": __version__,
-                "stages": {}, "timings": {}}
-
     def config_hash(self):
         return hash_arrays(canonical_json(self.cfg.to_dict()))
-
-    def record(self, stage, files, elapsed):
-        man = self._load_manifest()
-        man["config_hash"] = self.config_hash()
-        man["version"] = __version__
-        man["threads"] = self.threads
-        man["stages"][stage] = {"artifacts": {os.path.basename(f): file_checksum(f)
-                                              for f in files}}
-        man["timings"][stage] = elapsed
-        write_json(self._manifest_path, man)
 
     # -- stages --
 
@@ -208,7 +204,6 @@ class Pipeline:
         return [p], 0
 
     def stage_dichotomy(self):
-        self.require("dichotomy")
         dich = self.dichotomy()
         ladder = self.ladder()
         d1 = self.path("dichotomy.json")
@@ -220,7 +215,6 @@ class Pipeline:
         return [d1, d2], 0
 
     def stage_certify(self):
-        self.require("certify")
         model = self.model()
         sigma, tau = self.cfg.model.sigma, self.cfg.run.tau
         gamma0, ok = contraction_certificate(self.step(tau))
@@ -258,7 +252,6 @@ class Pipeline:
         return [p], 0 if ok else 1
 
     def stage_simulate(self):
-        self.require("simulate")
         cfg = self.cfg
         model, dich, pi, law = self.model(), self.dichotomy(), self.controller(), self.law()
         tau = cfg.run.tau
@@ -314,7 +307,6 @@ class Pipeline:
         return [pt, pe, pj, pc, pb], fail
 
     def stage_density(self):
-        self.require("density")
         cfg = self.cfg
         ladder = self.ladder()
         if cfg.density.alpha_source == "projection":
@@ -368,7 +360,6 @@ class Pipeline:
         return files, 0
 
     def stage_mixing(self):
-        self.require("mixing")
         cfg = self.cfg
         model, dich, pi, law = self.model(), self.dichotomy(), self.controller(), self.law()
         mix = cfg.mixing
@@ -411,7 +402,6 @@ class Pipeline:
         return [pd, pj, ps, pst, pt], 0
 
     def stage_report(self):
-        self.require("report")
         cert = self.load("certificate.json")
         env = self.load("envelope.json")
         dens = self.load("density.json")
@@ -461,19 +451,25 @@ class Pipeline:
             checks["density_mc_agreement"] = {"value": dens["mc_max_rel_dev"],
                                               "pass": dens["mc_max_rel_dev"] < 0.05}
         all_pass = all(c["pass"] for c in checks.values())
-        # the artifacts judged: an earlier report's own checksum is not one of them
-        stages = self._load_manifest()["stages"]
+        # the inputs: this config's stage records, less an earlier report's own
+        h = self.config_hash()
         doc = {"checks": checks, "all_pass": all_pass,
-               "artifact_checksums": {s: v["artifacts"] for s, v in stages.items()
-                                      if s != "report"}}
+               "artifact_checksums": {s: v["artifacts"] for s, v in self._stages().items()
+                                      if s != "report" and v.get("config_hash") == h}}
         p = self.path("report.json")
         write_json(p, doc)
         return [p], 0 if all_pass else 1
 
     def run_stage(self, stage):
-        t0 = time.time()
+        self._stage = stage
+        if stage != STAGES[0]:
+            self._require("model.json")   # a stat and the manifest; the model is rebuilt
+        t0 = time.perf_counter()
         files, fail = getattr(self, f"stage_{stage}")()
-        self.record(stage, files, time.time() - t0)
+        rec = {"elapsed_s": time.perf_counter() - t0, "config_hash": self.config_hash(),
+               "artifacts": {os.path.basename(f): file_checksum(f) for f in files}}
+        write_json(self.path("manifest.json"), {"version": __version__, "threads": self.threads,
+                                                "stages": {**self._stages(), stage: rec}})
         return fail
 
 

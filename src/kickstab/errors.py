@@ -78,7 +78,11 @@ class EmptyMiddleBlock(KickstabError):
 
 
 class MissingPrerequisite(KickstabError):
-    """A pipeline stage was invoked before its prerequisite artifacts exist."""
+    """An artifact a pipeline stage needs is absent (one present but stale is StaleArtifact)."""
+
+
+class StaleArtifact(KickstabError):
+    """An artifact a stage needs exists, but no manifest record under this config lists it."""
 
 
 class ValidationError(KickstabError):

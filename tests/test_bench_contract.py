@@ -1,5 +1,7 @@
-"""What the benchmark's layer tracer needs from kickstab.
+"""What the benchmark's harness and layer tracer need from kickstab.
 
+``perfbench/run.py`` runs each workload's stage list in a fresh directory
+and reads each stage's artifact checksums and ``threads`` from its manifest.
 ``perfbench/layertrace.py`` rebinds every ``(module, function)`` in its
 TARGETS and records per-call information from the arguments and results of
 some of them.  A traced run that cannot find or bind one of these counts
@@ -10,15 +12,17 @@ not first in a benchmark run.
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kickstab.chain as kc
 from kickstab.chain import ensemble_blocks, run_ensemble
 from kickstab.cli import Pipeline
-from kickstab.config import config_from_dict
+from kickstab.config import config_from_dict, load_config
 from kickstab.density import (
     DEFAULT_QUAD,
     QuadratureSpec,
@@ -30,18 +34,20 @@ from kickstab.density import (
 from kickstab.ergodicity import make_observables, slln_average, stationary_stats
 from kickstab.kicks import make_kick_law
 from tests.conftest import REF
+from tests.test_config_cli import small_config
 
 
-def _load_layertrace():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
-    spec = importlib.util.spec_from_file_location("layertrace", path)
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod    # its dataclasses resolve annotations through sys.modules
     spec.loader.exec_module(mod)
     return mod
 
 
-lt = _load_layertrace()
+lt = _load_perfbench("layertrace")
+wl = _load_perfbench("workloads")
 
 
 def test_trace_targets_exist():
@@ -122,3 +128,19 @@ def test_pipeline_dichotomy_exposes_stable_basis(tmp_path):
     assert U.shape == (dich.n, dich.n - dich.m)
     assert np.linalg.norm(U.T @ U - np.eye(U.shape[1])) < 1e-12
     assert np.linalg.norm(dich.D.T @ U) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(wl.WORKLOADS))
+def test_workload_stages_run_in_a_fresh_dir(name, tmp_path):
+    # child.py builds one Pipeline per repetition and runs the stage list in
+    # order; a stage the prerequisite rule stops (density right after
+    # dichotomy, say) would count as failed operations in every run
+    stages = wl.WORKLOADS[name].stages
+    pipe = Pipeline(load_config(small_config(tmp_path)), str(tmp_path / "out"), seed_override=1)
+    for st in stages:
+        pipe.run_stage(st)
+    with open(pipe.path("manifest.json")) as fh:
+        man = json.load(fh)
+    assert "threads" in man
+    for st in stages:
+        assert man["stages"][st]["artifacts"], st

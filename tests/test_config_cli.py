@@ -11,10 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickstab.artifacts import emit_series, file_checksum
+from kickstab.artifacts import emit_series, file_checksum, write_json
 from kickstab.cli import Pipeline, main
 from kickstab.config import ExperimentConfig, config_from_dict, load_config, save_config
-from kickstab.errors import DegenerateCovariance, EmptyMiddleBlock, ParseError, ValidationError
+from kickstab.errors import (
+    DegenerateCovariance,
+    EmptyMiddleBlock,
+    ParseError,
+    StaleArtifact,
+    ValidationError,
+)
 from tests.conftest import length_split_counts
 
 
@@ -565,6 +571,94 @@ def test_report_requires_tv_json(finished_run, tmp_path, capsys):
     assert main(["report", "--config", path, "--out", out]) == 3
     err = capsys.readouterr().err
     assert "requires artifact tv.json" in err and "Traceback" not in err
+
+
+def _records(manifest_path):
+    """The manifest's stage records without their wall times."""
+    with open(manifest_path) as fh:
+        stages = json.load(fh)["stages"]
+    return {s: {k: v for k, v in rec.items() if k != "elapsed_s"} for s, rec in stages.items()}
+
+
+def test_stage_under_another_config_stops_with_stale_artifact(finished_run, tmp_path, capsys):
+    # after 'all' under config A, report and mixing under config B once exited
+    # 0: report judged A's artifacts and stamped B's hash on the manifest.  Each
+    # now stops before it writes, naming the artifact; 'all' under B then
+    # rebuilds the dir as it builds a fresh one
+    _, done = finished_run
+    path_b = small_config(tmp_path, kick={"eps_hat": 0.02}, run={"n_steps": 60})
+    out, fresh = os.path.join(tmp_path, "out"), os.path.join(tmp_path, "fresh")
+    shutil.copytree(done, out)
+    manifest = file_checksum(os.path.join(out, "manifest.json"))
+    for stage in ("report", "mixing"):
+        capsys.readouterr()
+        assert main([stage, "--config", path_b, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: artifact model.json ") and "Traceback" not in err
+        assert file_checksum(os.path.join(out, "manifest.json")) == manifest
+    with pytest.raises(StaleArtifact):
+        Pipeline(load_config(path_b), out).run_stage("report")
+    # a model of B's, beside A's certificate: report reads no artifact of A's,
+    # and once B has rerun every stage report reads, lists no checksum of A's
+    assert main(["synth", "--config", path_b, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", path_b, "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("error: artifact certificate.json ")
+    for stage in ("certify", "simulate", "density", "mixing", "report"):
+        main([stage, "--config", path_b, "--out", out])
+    with open(os.path.join(out, "report.json")) as fh:
+        assert set(json.load(fh)["artifact_checksums"]) == \
+            {"synth", "certify", "simulate", "density", "mixing"}
+
+    assert main(["all", "--config", path_b, "--out", out]) == \
+        main(["all", "--config", path_b, "--out", fresh])
+    for name in os.listdir(fresh):
+        if name != "manifest.json":
+            assert file_checksum(os.path.join(out, name)) == \
+                file_checksum(os.path.join(fresh, name)), name
+    assert _records(os.path.join(out, "manifest.json")) == \
+        _records(os.path.join(fresh, "manifest.json"))
+    report = file_checksum(os.path.join(out, "report.json"))
+    main(["report", "--config", path_b, "--out", out])
+    assert file_checksum(os.path.join(out, "report.json")) == report
+
+
+def test_manifest_holds_one_record_per_stage(finished_run, tmp_path, capsys):
+    # each stage's checksums, config hash and wall time sit in one record.  A
+    # manifest of the earlier format, with one top-level config_hash and
+    # timings and records of checksums alone, names no stage's config: the
+    # next stage after synth stops with a named error, and 'all' rewrites it
+    path, done = finished_run
+    with open(os.path.join(done, "manifest.json")) as fh:
+        man = json.load(fh)
+    config_hash = Pipeline(load_config(path), done).config_hash()
+    assert set(man) == {"version", "threads", "stages"}
+    for rec in man["stages"].values():
+        assert set(rec) == {"artifacts", "config_hash", "elapsed_s"}
+        assert rec["config_hash"] == config_hash and rec["elapsed_s"] >= 0.0
+
+    out = os.path.join(tmp_path, "out")
+    shutil.copytree(done, out)
+    write_json(os.path.join(out, "manifest.json"), {
+        "config_hash": config_hash, "version": man["version"], "threads": man["threads"],
+        "stages": {s: {"artifacts": rec["artifacts"]} for s, rec in man["stages"].items()},
+        "timings": {s: rec["elapsed_s"] for s, rec in man["stages"].items()}})
+    with pytest.raises(StaleArtifact):
+        Pipeline(load_config(path), out).run_stage("certify")
+    capsys.readouterr()
+    assert main(["report", "--config", path, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: artifact model.json ") and "Traceback" not in err
+
+    assert main(["all", "--config", path, "--out", out]) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        assert set(json.load(fh)) == {"version", "threads", "stages"}
+    assert _records(os.path.join(out, "manifest.json")) == \
+        _records(os.path.join(done, "manifest.json"))
+    for name in os.listdir(done):
+        if name != "manifest.json":
+            assert file_checksum(os.path.join(out, name)) == \
+                file_checksum(os.path.join(done, name)), name
 
 
 def test_burn_in_below_floor_stops_mixing_with_named_error(tmp_path, capsys):
