@@ -196,11 +196,8 @@ class Pipeline:
     # -- stages --
 
     def stage_synth(self):
-        model = self.model()
         p = self.path("model.json")
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(model.to_json())
-            fh.write("\n")
+        write_json(p, self.model().to_json_dict())
         return [p], 0
 
     def stage_dichotomy(self):

@@ -11,13 +11,13 @@ weight is found by bisection over a fixed grid, one dense eigensolve per probe.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
 
+from .artifacts import hash_arrays
 from .errors import ConstructionFailed
 from .spectral import _complex_from_real, _spectral_norm
 
@@ -67,6 +67,12 @@ class OseenModel:
     span D, the nested sigma-ladder subspaces and the Schur projector, and
     complex_schur, the triangular form of the Riesz quadrature and the
     contour resolvent norms, is the same form made complex triangular.
+
+    ``to_json_dict`` is the ``model.json`` document: n, d, beta0,
+    remainder_scale and spectrum_seed of the spectrum, mu, obs_idx, seed,
+    relative_bound_b, and A_sha256, the ``artifacts.hash_arrays`` checksum of
+    A.  A itself is not written: every stage rebuilds the model from the
+    config, and the checksum shows a changed operator on a rerun.
     """
 
     n: int
@@ -108,20 +114,19 @@ class OseenModel:
             out.extend([complex(re, im)] * mult)
         return np.array(out)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "n": self.n,
             "d": self.spectrum.d,
             "beta0": self.spectrum.beta0,
             "remainder_scale": self.spectrum.remainder_scale,
             "spectrum_seed": self.spectrum.seed,
             "mu": self.spectrum.mu.tolist(),
-            "A": self.A.ravel().tolist(),
+            "A_sha256": hash_arrays(self.A),
             "obs_idx": list(self.obs_idx),
             "seed": self.seed,
             "relative_bound_b": self.relative_bound_b,
         }
-        return json.dumps(doc, sort_keys=True)
 
 
 def synth_stokes_spectrum(n, d, beta0, remainder_scale, seed) -> StokesSpectrum:

@@ -144,3 +144,42 @@ def test_workload_stages_run_in_a_fresh_dir(name, tmp_path):
     assert "threads" in man
     for st in stages:
         assert man["stages"][st]["artifacts"], st
+
+
+@pytest.mark.parametrize("name", sorted(wl.WORKLOADS))
+def test_workload_stages_run_traced(name, tmp_path):
+    # child.py --trace installs the tracer once the pipeline is built; an info
+    # hook that cannot read its call's arguments or result raises inside the
+    # stage, which a traced repetition counts as a failed operation
+    stages = wl.WORKLOADS[name].stages
+    pipe = Pipeline(load_config(small_config(tmp_path)), str(tmp_path / "out"), seed_override=1)
+    tracer = lt.Tracer()
+
+    def json_bytes():
+        return tracer.summary().get("artifacts.write_json", {}).get("bytes", 0)
+
+    tracer.install()
+    errors, written = {}, {}
+    try:
+        for st in stages:
+            before = json_bytes()
+            try:
+                pipe.run_stage(st)
+            except Exception as exc:
+                errors[st] = repr(exc)
+            # less the manifest, which run_stage rewrites after each stage
+            manifest = Path(pipe.path("manifest.json")).stat().st_size
+            written[st] = json_bytes() - before - manifest
+    finally:
+        tracer.uninstall()
+    assert errors == {}
+    with open(pipe.path("manifest.json")) as fh:
+        records = json.load(fh)["stages"]
+    for st in stages:
+        # every JSON artifact of the stage goes through write_json
+        expected = sum(Path(pipe.path(f)).stat().st_size
+                       for f in records[st]["artifacts"] if f.endswith(".json"))
+        assert written[st] == expected, st
+    laws = [s.info for s in tracer.spans if s.name == "kicks.make_kick_law"]
+    assert bool(laws) == bool({"simulate", "mixing"} & set(stages))
+    assert all(0.0 < info["accept_prob"] < 1.0 for info in laws)

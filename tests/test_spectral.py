@@ -293,6 +293,80 @@ def test_riesz_rule_converged(name, request):
     assert np.linalg.norm(P2 - P) < 1e-13 * max(1.0, np.linalg.norm(P))
 
 
+def _full_rule_sum(model_or_A, nodes, weights):
+    """Reference: (2 pi i)^{-1} * sum of w (zI - A)^{-1} over every node of
+    the rule, one triangular inverse each in complex Schur coordinates."""
+    T, Q = sp._complex_schur(model_or_A)
+    n = T.shape[0]
+    acc = np.zeros((n, n), dtype=complex)
+    for z, wz in zip(nodes, weights):
+        acc += wz * sp.sla.lapack.ztrtri(z * np.eye(n) - T)[0]
+    P = Q @ acc @ Q.conj().T / (2j * np.pi)
+    assert np.linalg.norm(P.imag) <= 1e-10 * max(1.0, np.linalg.norm(P.real))
+    return P.real
+
+
+def _jordan_inside():
+    """A dense non-normal matrix with a Jordan block at -1 inside the contour."""
+    rng = np.random.default_rng(4)
+    T = np.diag([-1.0, -1.0, 2.0, 3.0, 4.5, 6.0])
+    T[0, 1] = 1.0
+    T += 0.5 * np.triu(rng.standard_normal((6, 6)), 2)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    return Q @ T @ Q.T, REF["sigma"]
+
+
+@pytest.mark.parametrize("name", _SCHUR_CASES + ("b50", "jordan_inside", "empty"))
+def test_half_rule_matches_full_rule_sum(name, request):
+    # the upper half of a conjugate-symmetric rule carries the whole sum
+    if name == "jordan_inside":
+        model, sigma = _jordan_inside()
+    elif name == "empty":
+        model, sigma = np.diag([1.0, 2.0, 3.0]), 0.5
+    else:
+        model, sigma = _schur_case(name, request)
+    rect, counts, _ = sp.riesz_rule(model, sigma)
+    nodes, weights = sp._rectangle_nodes(*rect, counts)
+    P = sp._contour_integral(model, nodes, weights)
+    P_ref = _full_rule_sum(model, nodes, weights)
+    assert np.linalg.norm(P - P_ref) <= 1e-14 * max(1.0, np.linalg.norm(P_ref))
+
+
+def test_asymmetric_rule_rejected_before_any_inverse(ref_model, monkeypatch):
+    rect, counts, _ = sp.riesz_rule(ref_model, REF["sigma"])
+    nodes, weights = sp._rectangle_nodes(*rect, counts)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("ztrtri ran on an asymmetric rule")
+
+    monkeypatch.setattr(sp.sla.lapack, "ztrtri", no_inverse)
+    # one bottom node dropped
+    bottom = np.arange(len(nodes)) == np.flatnonzero(nodes.imag < 0)[-1]
+    with pytest.raises(InvalidContour):
+        sp._contour_integral(ref_model, nodes[~bottom], weights[~bottom])
+    # a mirror node whose weight is not -conj(w), and real-axis nodes with real weights
+    for bad in (np.where(bottom, 1.5 * weights, weights),
+                np.where(nodes.imag == 0, weights + 1.0, weights)):
+        with pytest.raises(InvalidContour):
+            sp._contour_integral(ref_model, nodes, bad)
+
+
+@pytest.mark.parametrize("fields, counts", [
+    ({}, [13, 29, 21, 29]),
+    ({"n": 150}, [13, 29, 21, 29]),
+    ({"n": 400}, [13, 29, 21, 29]),
+    ({"n_unstable": 2, "b": 2.0, "spectrum_seed": 18}, [13, 49, 21, 49]),
+    ({"b": 50.0}, [13, 121, 21, 121]),
+])
+def test_riesz_rule_symmetric_counts_unchanged(fields, counts):
+    # one count for the top and bottom edges moves no count: the Bernstein
+    # counts of the two edges already agree
+    model, sigma = _config_model(**fields)
+    rect, got, capped = sp.riesz_rule(model, sigma)
+    assert got == counts and not capped
+    assert sp._bernstein_counts(model.eigvals(), *rect)[0] == counts
+
+
 def test_riesz_rule_capped_near_the_spectrum():
     # sigma 1e-3 from an eigenvalue: uncapped, the long edges would take
     # 1469 nodes each; at the cap the quadrature still returns, and its
