@@ -157,7 +157,7 @@ class Pipeline:
 
     def law(self):
         k = self.cfg.kick
-        return self._cached("law", lambda: make_kick_law(self.cfg.kick_matrix(), k.eps_hat, k.seed))
+        return self._cached("law", lambda: make_kick_law(self.cfg.kick_matrix(), k.eps_hat))
 
     def step(self, tau):
         return self._cached(("step", tau), lambda: stable_step(self.model(), self.dichotomy(), tau))
@@ -191,7 +191,10 @@ class Pipeline:
             return json.load(fh)
 
     def config_hash(self):
-        return hash_arrays(canonical_json(self.cfg.to_dict()))
+        # the output section says where artifacts go, not what they are
+        doc = self.cfg.to_dict()
+        del doc["output"]
+        return hash_arrays(canonical_json(doc))
 
     # -- stages --
 
@@ -327,7 +330,7 @@ class Pipeline:
         doc = {"m": dec.m, "nm": dec.nm, "s": dec.s, "J": dec.J,
                "mu": dec.mu.tolist()}
         if dec.nm <= 2 and dec.m <= 3:
-            xs, _ = support_grid(dec, law.eps, cfg.density.grid_points)
+            xs, _ = support_grid(dec, law.eps_hat, cfg.density.grid_points)
             P = density_batch(dec, law, xs, quad)
             pg = self.path("density_grid.csv")
             emit_series(pg, [f"x{i+1}" for i in range(dec.nm)] + ["P"],
@@ -347,7 +350,7 @@ class Pipeline:
         # boundary exponent probe along a fixed direction
         M = dec.support_quadform()
         xdir = np.ones(dec.nm)
-        xb = xdir * (law.eps / np.sqrt(xdir @ M @ xdir))
+        xb = xdir * (law.eps_hat / np.sqrt(xdir @ M @ xdir))
         probe = boundary_exponent_probe(dec, law, xb, quad=quad)
         doc["boundary_probe"] = probe
         doc["expected_slope"] = dec.m / 2.0

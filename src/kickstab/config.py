@@ -52,7 +52,7 @@ class KickSection:
     scale: float | None = None      # diag only; None: scale so trace(K) = eps_hat^2
     entries: list | None = None     # dense row-major or explicit diagonal
     eps_hat: float = None           # required
-    seed: int = 7
+    seed: int = 7                   # mc_density_oracle only; kicks draw on run/mixing/SLLN seeds
 
 
 @dataclass
@@ -236,7 +236,7 @@ def _validate(cfg: ExperimentConfig):
         if k.scale is not None:
             raise ValidationError("kick.scale", "a dense K is taken as given; drop kick.scale")
         try:   # make_kick_law's own test, an eigensolve
-            make_kick_law(cfg.kick_matrix(), k.eps_hat, k.seed)
+            make_kick_law(cfg.kick_matrix(), k.eps_hat)
         except ValueError as exc:   # not symmetric, or not positive definite
             raise ValidationError("kick.entries", str(exc)) from exc
     else:

@@ -6,8 +6,8 @@ density of x is the slice integral
 
     P(x) = c_hat * int g(u, x - alpha u) du  over  |u|^2 + |x - alpha u|^2 <= eps^2,
 
-where g is the Gaussian density of the projected law and c_hat is exact in
-any dimension (``kicks.ball_mass``).  With H = I + alpha^T alpha = V diag(mu)
+where g is the Gaussian density of the projected law (a ``kicks.KickLaw``)
+and c_hat = 1 / ``kicks.ball_mass``.  With H = I + alpha^T alpha = V diag(mu)
 V^T the slice is the ellipsoid (u - u_hat)^T H (u - u_hat) <= r^2, centered
 at u_hat = G x, G = H^{-1} alpha^T, with r^2 = eps^2 - x^T M x and
 M = I - alpha G.  So u = u_hat + r C nu over the fixed unit ball |nu| <= 1,
@@ -40,12 +40,11 @@ from .errors import (
     QuadratureUnsupported,
     RejectionCap,
 )
-from .kicks import ball_mass
+from .kicks import KickLaw
 
 __all__ = [
     "PiDecomposition",
     "SliceGeometry",
-    "ProjectedLaw",
     "QuadratureSpec",
     "build_pi_decomposition",
     "projected_law",
@@ -108,15 +107,6 @@ class SliceGeometry:
 
 
 @dataclass(frozen=True)
-class ProjectedLaw:
-    """Gaussian covariance, truncation radius and normalization constant."""
-
-    K: np.ndarray
-    eps: float
-    c_hat: float
-
-
-@dataclass(frozen=True)
 class QuadratureSpec:
     radial: int = 64
     angular: int = 256
@@ -149,12 +139,12 @@ def build_pi_decomposition(alpha) -> PiDecomposition:
                            G=np.linalg.solve(H, alpha.T), C=V / np.sqrt(mu))
 
 
-def projected_law(K, eps, c_hat=None) -> ProjectedLaw:
-    """Normalize the truncated Gaussian: c_hat = 1 / mass of the eps-ball (exact)."""
-    K = np.asarray(K, dtype=float)
-    if c_hat is None:
-        c_hat = 1.0 / ball_mass(np.linalg.eigvalsh(K), eps)
-    return ProjectedLaw(K=K, eps=float(eps), c_hat=float(c_hat))
+def projected_law(K, eps) -> KickLaw:
+    """N(0, K), K as given, on the eps-ball; c_hat is read here, so a K that
+    ``ball_mass`` cannot normalize raises DegenerateCovariance here."""
+    law = KickLaw(K=np.asarray(K, dtype=float), eps_hat=float(eps))
+    law.c_hat
+    return law
 
 
 def slice_geometry(dec, eps, x) -> SliceGeometry:
@@ -255,7 +245,7 @@ def density_batch(dec, law, xs, quad=DEFAULT_QUAD) -> np.ndarray:
     entries, so memory does not grow with the number of points.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    zc, rad2 = _slice_coords(dec, law.eps, xs)
+    zc, rad2 = _slice_coords(dec, law.eps_hat, xs)
     out = np.zeros(xs.shape[0])
     inside = np.flatnonzero(rad2 > 0)
     if not len(inside):
@@ -286,7 +276,7 @@ def density_mass(dec, law, quad=DEFAULT_QUAD) -> float:
     rule in angle for nm = 2, in y for nm = 1.  quad sets the slice rule.
     """
     lam, Q = np.linalg.eigh(dec.support_quadform())
-    T = law.eps * Q / np.sqrt(lam)
+    T = law.eps_hat * Q / np.sqrt(lam)
     a = dec.m / 2.0
     if dec.nm == 1:
         y, w = roots_jacobi(MASS_NODES, a, a)
@@ -334,7 +324,7 @@ def mc_density_oracle(dec, law, points, n_samples, seed=0):
     K = law.K
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, dec.n)) @ np.linalg.cholesky(K).T
-    b = np.einsum("ij,ij->i", z, z) <= law.eps ** 2
+    b = np.einsum("ij,ij->i", z, z) <= law.eps_hat ** 2
     p_hat = float(np.mean(b))
     if p_hat == 0.0:
         raise RejectionCap(f"none of {n_samples} draws fell in the eps-ball; raise n_samples")
@@ -346,7 +336,7 @@ def mc_density_oracle(dec, law, points, n_samples, seed=0):
     del z, u
     _, logdet = np.linalg.slogdet(2 * np.pi * S)
     S_inv = np.linalg.inv(S)
-    return [_mc_point(x, ua, uc, uu, b, S_inv, logdet, law.eps ** 2, p_hat) for x in points]
+    return [_mc_point(x, ua, uc, uu, b, S_inv, logdet, law.eps_hat ** 2, p_hat) for x in points]
 
 
 def _mc_point(x, ua, uc, uu, b, S_inv, logdet, eps2, p_hat):
@@ -412,11 +402,11 @@ def boundary_exponent_probe(dec, law, x_boundary, h_norms=None, quad=DEFAULT_QUA
     x = np.asarray(x_boundary, dtype=float)
     M = dec.support_quadform()
     val = float(x @ M @ x)
-    if abs(val - law.eps ** 2) > 1e-8 * law.eps ** 2:
+    if abs(val - law.eps_hat ** 2) > 1e-8 * law.eps_hat ** 2:
         raise ProbeOffBoundary(
-            f"quadratic form {val:.6e} vs eps^2 {law.eps**2:.6e}")
+            f"quadratic form {val:.6e} vs eps^2 {law.eps_hat**2:.6e}")
     if h_norms is None:
-        h_norms = law.eps * np.geomspace(1e-4, 1e-1, 12)
+        h_norms = law.eps_hat * np.geomspace(1e-4, 1e-1, 12)
     h_norms = np.asarray(h_norms, dtype=float)
     Ps = np.empty(len(h_norms))
     for i, g0 in enumerate(h_norms):
@@ -444,8 +434,8 @@ def _variation_analytic(dec, law, xs, h, quad):
         d_h [r^m int g(z) dnu] = r^m int g(z) (m dr / r - (K^-1 z) . (dz + dr W nu)) dnu,
     whose bracket is a quadratic in nu: one sum on the slice rule, for every m.
     """
-    zc, rad2 = _slice_coords(dec, law.eps, xs)
-    dz = _slice_coords(dec, law.eps, h[None, :])[0][0]
+    zc, rad2 = _slice_coords(dec, law.eps_hat, xs)
+    dz = _slice_coords(dec, law.eps_hat, h[None, :])[0][0]
     r = np.sqrt(rad2)
     dr = -(zc @ dz) / r
     Kinv, lognorm = _slice_precision(law)
@@ -469,14 +459,14 @@ def first_variation(dec, law, x, h, mode="numeric", quad=DEFAULT_QUAD) -> float:
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
-    geo = slice_geometry(dec, law.eps, x)
+    geo = slice_geometry(dec, law.eps_hat, x)
     if geo.classification != "interior":
         raise NotInterior(f"x classified as {geo.classification}")
     if mode == "analytic":
         return float(_variation_analytic(dec, law, x[None, :], h, quad)[0])
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
-    lam1 = 1e-3 * law.eps
+    lam1 = 1e-3 * law.eps_hat
     lam2 = 0.5 * lam1
 
     def central(lam):
@@ -518,7 +508,7 @@ def tv_lipschitz_ratio(dec, law, v1, v2, quad=DEFAULT_QUAD) -> float:
     if sep == 0.0:
         return 0.0
     g = {1: quad.grid_1d, 2: quad.grid_2d}.get(dec.nm, quad.mc_nodes)
-    ys, vol = support_grid(dec, law.eps, g, delta)
+    ys, vol = support_grid(dec, law.eps_hat, g, delta)
     p0 = density_batch(dec, law, ys, quad)
     p1 = density_batch(dec, law, ys + delta, quad)
     return float(np.sum(np.abs(p0 - p1)) * vol / sep)

@@ -268,7 +268,7 @@ def stationary_stats(step, pi, law, w0, n_steps, burn_in, seed, gamma0=None) -> 
 
 def alpha_from_projection(pi, ladder, level=1) -> np.ndarray:
     """Matrix of Q Pi restricted to X_sigma^perp, in the ladder bases."""
-    E1 = ladder.E_all[:, :ladder.m]
+    E1 = ladder.completion[:, :ladder.m]
     E2 = ladder.mid_basis(level)
     return E2.T @ pi.Pi_mat @ E1
 

@@ -504,17 +504,15 @@ def contour_bound_integrals(model, sigma, tau, theta=1.0, psi=3 * np.pi / 4,
 class SigmaLadder:
     """Increasing levels sigma < sigma_1 < ... < sigma_K with nested bases.
 
-    completion is one orthogonal matrix of ordered Schur vectors of A^T and
-    E_all its first n_K columns: the first m span X_sigma^perp, columns
-    m..n_k span the middle block between sigma and sigma_k, and columns
-    n_k.. span X_{sigma_k}.
+    completion is one orthogonal matrix of ordered Schur vectors of A^T: its
+    first m columns span X_sigma^perp, columns m..n_k span the middle block
+    between sigma and sigma_k, and columns n_k.. span X_{sigma_k}.
     """
 
     sigma: float
     sigma_list: tuple
     n_list: tuple
     m: int
-    E_all: np.ndarray
     completion: np.ndarray
     gaps: tuple
 
@@ -524,7 +522,7 @@ class SigmaLadder:
 
     def mid_basis(self, k) -> np.ndarray:
         """Orthonormal basis of X_{sigma sigma_k} (levels are 1-based)."""
-        return self.E_all[:, self.m:self.n_list[k - 1]]
+        return self.completion[:, self.m:self.n_list[k - 1]]
 
     def tail_basis(self, k) -> np.ndarray:
         """Orthonormal basis of X_{sigma_k}."""
@@ -532,7 +530,7 @@ class SigmaLadder:
 
     def head_basis(self, k) -> np.ndarray:
         """Orthonormal basis of X_{sigma_k}^perp = X_sigma^perp + X_{sigma sigma_k}."""
-        return self.E_all[:, :self.n_list[k - 1]]
+        return self.completion[:, :self.n_list[k - 1]]
 
     def to_json_dict(self) -> dict:
         return {"sigma": self.sigma, "sigma_list": list(self.sigma_list), "m": self.m,
@@ -568,8 +566,7 @@ def sigma_ladder(model, sigma, K, gap_tol=1e-6, grid_points=1024) -> SigmaLadder
         raise ValueError("sigma must lie below the first ladder segment")
     _, Z, (m, *n_list) = _ordered_schur(model, [sigma, *sigma_list])
     return SigmaLadder(sigma=float(sigma), sigma_list=tuple(sigma_list),
-                       n_list=tuple(n_list), m=m, E_all=Z[:, :n_list[-1]],
-                       completion=Z, gaps=tuple(gaps))
+                       n_list=tuple(n_list), m=m, completion=Z, gaps=tuple(gaps))
 
 
 def tail_contraction(ladder, step) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared fixtures (the reference model and its assembled components), the
-support-ellipsoid reference shared by the kick and density tests, and the
-length-proportional contour rule shared by the spectral and pipeline tests.
+support-ellipsoid reference shared by the kick and density tests, the
+length-proportional contour rule shared by the spectral and pipeline tests,
+and the seeded kick streams of the kick tests.
 
 Reference configuration (n = 20, d = 2, one unstable eigenvalue, sigma = 0.5,
 b = 0.5, eps_hat = 0.01, K following the j^-2 trace-class pattern scaled so
@@ -94,9 +95,12 @@ def ref_kick_matrix():
 
 @pytest.fixture()
 def ref_law(ref_kick_matrix):
-    # norm_samples=0: no test that uses it reads the lazy ball-mass estimate
-    return ks.kicks.make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
-                                  norm_samples=0)
+    return ks.kicks.make_kick_law(ref_kick_matrix, REF["eps_hat"])
+
+
+def kick_stream(seed, *key) -> np.random.Generator:
+    """The generator of spawn key (0, *key) under ``seed``: a fixed kick stream for tests."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, *key)))
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ as failed operations, so a change that breaks this contract shows here,
 not first in a benchmark run.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -32,7 +33,7 @@ from kickstab.density import (
     projected_law,
 )
 from kickstab.ergodicity import make_observables, slln_average, stationary_stats
-from kickstab.kicks import make_kick_law
+from kickstab.kicks import KickLaw, ball_mass, make_kick_law
 from tests.conftest import REF
 from tests.test_config_cli import small_config
 
@@ -78,10 +79,18 @@ def test_slice_nodes_match_unit_ball_rule():
 
 
 def test_kick_law_exposes_norm_const_est():
+    # the tracer reads the acceptance rate as norm_const_est[0]: the exact
+    # ball mass of the one truncated-Gaussian law, which projected_law builds too
     hook = lt._info_hook("kick_law", make_kick_law)
-    law = make_kick_law(np.eye(2), 1.0, seed=0, norm_samples=10_000)
-    info = hook((np.eye(2), 1.0), {"seed": 0}, law)
+    law = make_kick_law(np.eye(2), 1.0)
+    info = hook((np.eye(2), 1.0), {}, law)
+    assert info["accept_prob"] == ball_mass(np.linalg.eigvalsh(law.K), law.eps_hat)
     assert 0.0 < info["accept_prob"] < 1.0
+    plaw = projected_law(np.eye(2), 1.0)
+    assert type(plaw) is type(law) is KickLaw
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plaw.eps_hat = 2.0
+    assert make_kick_law(np.eye(2), 0.0).norm_const_est == (0.0, 0.0)
 
 
 def test_chain_hooks_read_step_counts(ref_step, ref_pi, ref_law, ref_w0, ref_gamma0):

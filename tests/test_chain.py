@@ -25,7 +25,7 @@ from tests.conftest import REF
 
 def test_step_degenerate_law_is_pure_semigroup(ref_model, ref_step, ref_pi, ref_kick_matrix,
                                                ref_w0):
-    law0 = make_kick_law(ref_kick_matrix, 0.0, seed=0, norm_samples=0)
+    law0 = make_kick_law(ref_kick_matrix, 0.0)
     out = run_chain(ref_step, ref_pi, law0, ref_w0, 1, 0)[1]
     expected = semigroup(ref_model, REF["tau"]) @ ref_w0
     assert_allclose(out, expected, rtol=0, atol=1e-13 * np.linalg.norm(expected))
@@ -53,7 +53,7 @@ def test_chain_requires_stable_initial_state(ref_step, ref_pi, ref_law):
 
 def test_chain_pure_contraction_without_kicks(ref_step, ref_pi, ref_kick_matrix,
                                               ref_w0, ref_gamma0):
-    law0 = make_kick_law(ref_kick_matrix, 0.0, seed=0, norm_samples=0)
+    law0 = make_kick_law(ref_kick_matrix, 0.0)
     norms = np.linalg.norm(run_chain(ref_step, ref_pi, law0, ref_w0, 30, 0), axis=1)
     k = np.arange(31)
     assert np.all(norms <= ref_gamma0 ** k * norms[0] * (1 + 1e-9) + 1e-12)
@@ -67,8 +67,7 @@ def test_threshold_formula():
 
 def test_chain_determinism(ref_step, ref_pi, ref_law, ref_kick_matrix, ref_w0):
     t1 = run_chain(ref_step, ref_pi, ref_law, ref_w0, 40, 9)
-    law2 = make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
-                         norm_samples=0)
+    law2 = make_kick_law(ref_kick_matrix, REF["eps_hat"])
     assert np.array_equal(run_chain(ref_step, ref_pi, law2, ref_w0, 40, 9), t1)
 
 
@@ -112,8 +111,7 @@ def test_ensemble_stream_contract(ref_step, ref_pi, ref_law, ref_kick_matrix, re
     assert np.array_equal(s8[:3], s3)
     # the law holds no sampling state: one that has drawn kicks gives the
     # same ensemble as a fresh one
-    fresh = make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
-                          norm_samples=0)
+    fresh = make_kick_law(ref_kick_matrix, REF["eps_hat"])
     assert np.array_equal(run_ensemble(ref_step, ref_pi, fresh, ref_w0, 8, 20, seed=5), s8)
     # a single chain's kicks are one bulk draw on its seed's stream
     rng = np.random.default_rng(np.random.SeedSequence(9))
@@ -189,7 +187,7 @@ def test_uncontrolled_requires_instability(ref_law):
 def test_uncontrolled_pure_mode_growth():
     # diagonal model, eigenvalue -1, no kicks: exact growth e^{tau k}
     A = np.diag([-1.0, 2.0])
-    law0 = make_kick_law(np.eye(2), 0.0, seed=0, norm_samples=0)
+    law0 = make_kick_law(np.eye(2), 0.0)
     w0 = np.array([1.0, 0.0])
     norms, rate = uncontrolled_demo(A, 0.5, law0, w0, 30, seed=0)
     assert_allclose(norms, np.exp(0.5 * np.arange(31)), rtol=1e-12)
@@ -204,8 +202,7 @@ def test_uncontrolled_fitted_rate(ref_model, ref_law, ref_w0):
 
 def test_controlled_vs_uncontrolled_divergence(ref_model, ref_step, ref_pi, ref_law,
                                                ref_kick_matrix, ref_w0):
-    law2 = make_kick_law(ref_kick_matrix, REF["eps_hat"], seed=REF["kick_seed"],
-                         norm_samples=0)
+    law2 = make_kick_law(ref_kick_matrix, REF["eps_hat"])
     norms_u, _ = uncontrolled_demo(ref_model, REF["tau"], ref_law, ref_w0, 100, seed=11)
     states_c = run_chain(ref_step, ref_pi, law2, ref_w0, 100, 11)
     assert norms_u[-1] / np.linalg.norm(states_c[-1]) > 1e3

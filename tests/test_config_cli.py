@@ -722,10 +722,33 @@ def test_seed_override_leaves_caller_config(tmp_path):
     pipe = Pipeline(cfg, os.path.join(tmp_path, "out"), seed_override=5)
     assert cfg.to_dict() == before
     assert (pipe.cfg.run.seed, pipe.cfg.mixing.seed) == (5, 6)
-    # the manifest hashes the config the pipeline runs, seeds overridden
+    # the manifest hashes the config the pipeline runs, seeds overridden,
+    # less its output section
     expected = dict(before, run=dict(before["run"], seed=5),
                     mixing=dict(before["mixing"], seed=6))
+    del expected["output"]
     assert pipe.config_hash() == hash_arrays(canonical_json(expected))
+
+
+def test_output_dir_is_not_part_of_the_experiment(tmp_path, capsys):
+    # two configs that differ only in output.dir describe one experiment: a
+    # stage of one runs on the other's artifacts in a shared --out; a changed
+    # kick.eps_hat is another experiment and still stops with StaleArtifact
+    shared = os.path.join(tmp_path, "shared")
+    for name in "abc":
+        (tmp_path / name).mkdir()
+    path_a = small_config(tmp_path / "a", output={"dir": "runA"})
+    path_b = small_config(tmp_path / "b", output={"dir": "runB"})
+    path_c = small_config(tmp_path / "c", output={"dir": "runB"}, kick={"eps_hat": 0.02})
+    assert main(["synth", "--config", path_a, "--out", shared]) == 0
+    assert main(["dichotomy", "--config", path_b, "--out", shared]) == 0
+    assert Pipeline(load_config(path_a), shared).config_hash() == \
+        Pipeline(load_config(path_b), shared).config_hash()
+    with pytest.raises(StaleArtifact):
+        Pipeline(load_config(path_c), shared).run_stage("dichotomy")
+    capsys.readouterr()
+    assert main(["dichotomy", "--config", path_c, "--out", shared]) == 3
+    assert capsys.readouterr().err.startswith("error: artifact model.json ")
 
 
 def _simulate(tmp_path, name, **run):

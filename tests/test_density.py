@@ -50,7 +50,7 @@ def brute_force_density(alpha, law, x) -> float:
 
     def quadratic(head):
         a1, y = alpha[:, -1], x - alpha[:, :-1] @ head
-        return 1 + a1 @ a1, -2 * a1 @ y, head @ head + y @ y - law.eps ** 2
+        return 1 + a1 @ a1, -2 * a1 @ y, head @ head + y @ y - law.eps_hat ** 2
 
     def roots(head):
         A, B, c = quadratic(np.atleast_1d(head))
@@ -60,7 +60,7 @@ def brute_force_density(alpha, law, x) -> float:
     if alpha.shape[1] == 1:
         lo, hi = roots(np.zeros(0))
         return law.c_hat * quad(lambda t: g(np.array([t])), lo, hi, epsabs=0, epsrel=1e-12)[0]
-    ss = np.array([-1.0, 0.0, 1.0]) * law.eps
+    ss = np.array([-1.0, 0.0, 1.0]) * law.eps_hat
     disc = [B * B - 4 * A * c for A, B, c in (quadratic(np.array([s])) for s in ss)]
     lo, hi = np.sort(np.roots(np.polyfit(ss, disc, 2)).real)
     val = dblquad(lambda t, s: g(np.array([s, t])), lo, hi, lambda s: roots(s)[0],
@@ -152,10 +152,10 @@ def test_slice_against_projected_gradient_oracle(dec12, law12):
     u = np.zeros(1)
     for _ in range(2000):
         u = u - step * 2 * (H @ u - alpha.T @ x)
-    geo = slice_geometry(dec12, law12.eps, x)
+    geo = slice_geometry(dec12, law12.eps_hat, x)
     assert np.linalg.norm(geo.center[:1] - u) < 1e-12
     assert np.linalg.norm(geo.center[1:] - (x - alpha @ u)) < 1e-12
-    r_oracle = np.sqrt(law12.eps ** 2 - u @ u - (x - alpha @ u) @ (x - alpha @ u))
+    r_oracle = np.sqrt(law12.eps_hat ** 2 - u @ u - (x - alpha @ u) @ (x - alpha @ u))
     assert abs(geo.radius - r_oracle) < 1e-8
 
 
@@ -182,7 +182,7 @@ def test_slice_matches_ellipsoid_membership(dec12):
 
 def _kernel_at(dec, law, u, x):
     """The slice kernel at the kick (u, x - alpha u), located by its node nu on the unit ball."""
-    zc, rad2 = ds._slice_coords(dec, law.eps, np.atleast_2d(x))
+    zc, rad2 = ds._slice_coords(dec, law.eps_hat, np.atleast_2d(x))
     r = np.sqrt(rad2)
     nu = np.linalg.solve(dec.C, u - zc[0, :dec.m]) / r[0]
     return ds._slice_gauss(*ds._slice_precision(law), dec.W, zc, r, nu[None, :])[0, 0], nu
@@ -216,7 +216,7 @@ def test_integrand_bounded_on_ball(dec12, law12):
     vals = []
     for _ in range(10_000):
         z = rng.standard_normal(3)
-        z *= law12.eps * rng.uniform(0, 1) ** (1 / 3) / np.linalg.norm(z)
+        z *= law12.eps_hat * rng.uniform(0, 1) ** (1 / 3) / np.linalg.norm(z)
         val, nu = _kernel_at(dec12, law12, z[:1], dec12.alpha @ z[:1] + z[1:])
         assert nu @ nu <= 1.0 + 1e-12
         assert abs(val - np.exp(-0.5 * z @ K_hat @ z) / norm) < 1e-12 * val
@@ -254,7 +254,7 @@ def test_density_symmetry(dec12, law12):
 
 def test_density_integrates_to_one(dec12, law12):
     Minv = np.linalg.inv(dec12.support_quadform())
-    half = law12.eps * np.sqrt(np.diag(Minv))
+    half = law12.eps_hat * np.sqrt(np.diag(Minv))
     g = 400
     axes = [np.linspace(-h, h, g, endpoint=False) + h / g for h in half]
     X, Y = np.meshgrid(*axes, indexing="ij")
@@ -300,7 +300,7 @@ def test_density_batch_blocks_match_single_points():
 
     dec = build_pi_decomposition(np.array([[0.9, 0.2], [-0.3, 0.7]]))
     law = projected_law(0.3 * np.eye(4), 1.0)
-    xs, _ = support_grid(dec, law.eps, 16)
+    xs, _ = support_grid(dec, law.eps_hat, 16)
     tracemalloc.start()
     try:
         P = density_batch(dec, law, xs)
@@ -318,9 +318,9 @@ def test_density_zero_outside_support(dec12, law12):
     rng = np.random.default_rng(5)
     for _ in range(200):
         x = rng.uniform(-3, 3, 2)
-        if x @ M @ x > law12.eps ** 2:
+        if x @ M @ x > law12.eps_hat ** 2:
             assert density_P(dec12, law12, x) == 0.0
-        elif slice_geometry(dec12, law12.eps, x).radius > 0.1 * law12.eps:
+        elif slice_geometry(dec12, law12.eps_hat, x).radius > 0.1 * law12.eps_hat:
             assert density_P(dec12, law12, x) > 0.0
 
 
@@ -330,7 +330,7 @@ def test_density_matches_mc_oracle(dec12, law12):
     pts = []
     while len(pts) < 10:
         x = rng.uniform(-1, 1, 2)
-        if x @ M @ x < (0.8 * law12.eps) ** 2:
+        if x @ M @ x < (0.8 * law12.eps_hat) ** 2:
             pts.append(x)
     # one oracle call draws the 1M samples once for all ten points; each row
     # equals the single-point call bit for bit
@@ -342,7 +342,7 @@ def test_density_matches_mc_oracle(dec12, law12):
 
 def test_density_quadrature_unsupported_without_fallback():
     dec = build_pi_decomposition(np.eye(4))
-    law = projected_law(np.eye(8), 1.0, c_hat=1.0)
+    law = projected_law(np.eye(8), 1.0)
     # m = 4: Monte Carlo slice nodes return a finite value
     val = density_P(dec, law, np.zeros(4), QuadratureSpec(mc_nodes=4000))
     assert val > 0
@@ -360,7 +360,7 @@ def test_mc_oracle_zero_alpha_matches_marginal_quadrature():
     dec = build_pi_decomposition(np.zeros((1, 1)))
     law = projected_law(np.diag([0.5, 0.3]), 1.0)
     x = 0.4
-    half = np.sqrt(law.eps ** 2 - x ** 2)
+    half = np.sqrt(law.eps_hat ** 2 - x ** 2)
     t, w = np.polynomial.legendre.leggauss(200)
     u = half * t
     g = np.exp(-0.5 * (u ** 2 / 0.5 + x ** 2 / 0.3)) / (2 * np.pi * np.sqrt(0.5 * 0.3))
@@ -426,7 +426,7 @@ def test_lagrange_closed_form_s0():
 def test_lagrange_residual_and_norm(dec12, law12):
     M = dec12.support_quadform()
     xdir = np.array([0.7, 0.4])
-    xb = xdir * law12.eps / np.sqrt(xdir @ M @ xdir)
+    xb = xdir * law12.eps_hat / np.sqrt(xdir @ M @ xdir)
     for g0 in (0.05, 0.01, 0.001):
         h, lam = lagrange_boundary_step(dec12, xb, g0)
         assert abs(np.linalg.norm(h) - g0) < 1e-10
@@ -445,7 +445,7 @@ def test_lagrange_residual_and_norm(dec12, law12):
 def test_lagrange_minimizes_objective(dec12, law12):
     M = dec12.support_quadform()
     xdir = np.array([-0.2, 0.9])
-    xb = xdir * law12.eps / np.sqrt(xdir @ M @ xdir)
+    xb = xdir * law12.eps_hat / np.sqrt(xdir @ M @ xdir)
     g0 = 0.05
     h_opt, _ = lagrange_boundary_step(dec12, xb, g0)
     F = lambda h: float((xb + h) @ M @ (xb + h))
@@ -460,15 +460,15 @@ def test_lagrange_minimizes_objective(dec12, law12):
 def test_slice_radius_maximal_along_lagrange_step(dec12, law12):
     M = dec12.support_quadform()
     xdir = np.array([0.3, -0.8])
-    xb = xdir * law12.eps / np.sqrt(xdir @ M @ xdir)
+    xb = xdir * law12.eps_hat / np.sqrt(xdir @ M @ xdir)
     g0 = 0.03
     h_opt, _ = lagrange_boundary_step(dec12, xb, g0)
-    r_opt = slice_geometry(dec12, law12.eps, xb + h_opt).radius
+    r_opt = slice_geometry(dec12, law12.eps_hat, xb + h_opt).radius
     rng = np.random.default_rng(13)
     for _ in range(300):
         h = rng.standard_normal(2)
         h *= g0 / np.linalg.norm(h)
-        geo = slice_geometry(dec12, law12.eps, xb + h)
+        geo = slice_geometry(dec12, law12.eps_hat, xb + h)
         if geo.classification == "interior":
             assert r_opt >= geo.radius - 1e-12
 
@@ -478,7 +478,7 @@ def test_slice_radius_maximal_along_lagrange_step(dec12, law12):
 def test_boundary_exponent_m1(dec12, law12):
     M = dec12.support_quadform()
     xdir = np.array([0.7, 0.4])
-    xb = xdir * law12.eps / np.sqrt(xdir @ M @ xdir)
+    xb = xdir * law12.eps_hat / np.sqrt(xdir @ M @ xdir)
     probe = boundary_exponent_probe(dec12, law12, xb)
     assert abs(probe["slope"] - 0.5) <= 0.1
 
@@ -488,7 +488,7 @@ def test_boundary_exponent_m2():
     law = projected_law(0.3 * np.eye(4), 1.0)
     M = dec.support_quadform()
     xdir = np.array([0.5, -0.6])
-    xb = xdir * law.eps / np.sqrt(xdir @ M @ xdir)
+    xb = xdir * law.eps_hat / np.sqrt(xdir @ M @ xdir)
     probe = boundary_exponent_probe(dec, law, xb)
     assert abs(probe["slope"] - 1.0) <= 0.1
 
@@ -549,7 +549,7 @@ def test_variation_radial_case_matches_profile():
 def test_variation_requires_interior(dec12, law12):
     M = dec12.support_quadform()
     xb = np.array([0.7, 0.4])
-    xb = xb * law12.eps / np.sqrt(xb @ M @ xb)
+    xb = xb * law12.eps_hat / np.sqrt(xb @ M @ xb)
     with pytest.raises(NotInterior):
         first_variation(dec12, law12, xb, np.array([1.0, 0.0]))
 

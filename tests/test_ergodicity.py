@@ -42,7 +42,7 @@ def observables():
 
 
 def fresh_law(ref_kick_matrix, eps=REF["eps_hat"]):
-    return make_kick_law(ref_kick_matrix, eps, seed=REF["kick_seed"], norm_samples=0)
+    return make_kick_law(ref_kick_matrix, eps)
 
 
 def test_observables_certified(observables):
@@ -87,7 +87,7 @@ def test_condition_check_small_tau_fails_contraction():
     from kickstab.feedback import build_pi, make_control_geometry
     geo = make_control_geometry(dich, (1, 2), seed=0)
     pi = build_pi(dich, geo)
-    law = make_kick_law(np.diag([4e-4, 1e-4, 4e-5]), 0.05, seed=0, norm_samples=0)
+    law = make_kick_law(np.diag([4e-4, 1e-4, 4e-5]), 0.05)
     report = condition_check(ladder, pi, law, tv_pairs=2, seed=5)
     assert set(report) == {"applicable", "separations", "ratios", "max_ratio",
                            "stable_within_2x", "pass"}
@@ -350,7 +350,7 @@ def test_stationary_covariance_matches_lyapunov(ref_model, ref_step, ref_pi,
     # Sigma = T Sigma T^T + Pi K Pi^T
     K = ref_kick_matrix
     eps_big = 10 * np.sqrt(np.trace(ref_pi.Pi_mat @ K @ ref_pi.Pi_mat.T))
-    law = make_kick_law(K, eps_big, seed=REF["kick_seed"], norm_samples=0)
+    law = make_kick_law(K, eps_big)
     D = ref_dichotomy.D
     # S on X_sigma, zero on span D
     T = semigroup(ref_model, REF["tau"]) @ (np.eye(REF["n"]) - D @ D.T)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import kickstab.kicks as kk
+from kickstab.cli import Pipeline
 from kickstab.config import config_from_dict
 from kickstab.density import (
     build_pi_decomposition,
@@ -15,9 +16,10 @@ from kickstab.density import (
     projected_law,
     slice_geometry,
 )
+from kickstab.ergodicity import projected_kick_covariance
 from kickstab.errors import DegenerateCovariance, RejectionCap
 from kickstab.kicks import ball_mass, make_kick_law, sample_kick, sample_kicks
-from tests.conftest import support_ellipsoid_membership
+from tests.conftest import REF, kick_stream, support_ellipsoid_membership
 
 
 def diag_correlation(n, scale=1.0, power=2.0) -> np.ndarray:
@@ -28,29 +30,29 @@ def diag_correlation(n, scale=1.0, power=2.0) -> np.ndarray:
 
 def test_law_validation():
     with pytest.raises(ValueError):
-        make_kick_law(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1, seed=0)  # not symmetric
+        make_kick_law(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1)  # not symmetric
     with pytest.raises(ValueError):
-        make_kick_law(np.diag([1.0, -0.1]), 0.1, seed=0)  # not positive definite
+        make_kick_law(np.diag([1.0, -0.1]), 0.1)  # not positive definite
 
 
 def test_samples_inside_ball():
-    law = make_kick_law(diag_correlation(6, scale=4e-4), 0.02, seed=1, norm_samples=0)
-    rng = law.stream(0)
+    law = make_kick_law(diag_correlation(6, scale=4e-4), 0.02)
+    rng = kick_stream(1, 0)
     norms = [np.linalg.norm(sample_kick(law, rng)) for _ in range(3000)]
     assert max(norms) <= 0.02
 
 
 def test_sample_determinism():
-    law1 = make_kick_law(diag_correlation(4, scale=1e-2), 0.2, seed=5, norm_samples=0)
-    law2 = make_kick_law(diag_correlation(4, scale=1e-2), 0.2, seed=5, norm_samples=0)
-    a = [sample_kick(law1, law1.stream(3)) for _ in range(50)]
-    b = [sample_kick(law2, law2.stream(3)) for _ in range(50)]
+    law1 = make_kick_law(diag_correlation(4, scale=1e-2), 0.2)
+    law2 = make_kick_law(diag_correlation(4, scale=1e-2), 0.2)
+    a = [sample_kick(law1, kick_stream(5, 3)) for _ in range(50)]
+    b = [sample_kick(law2, kick_stream(5, 3)) for _ in range(50)]
     assert np.array_equal(np.array(a), np.array(b))
 
 
 def test_degenerate_radius_returns_zero():
-    law = make_kick_law(np.eye(3), 0.0, seed=0, norm_samples=0)
-    assert np.array_equal(sample_kick(law, law.stream(0)), np.zeros(3))
+    law = make_kick_law(np.eye(3), 0.0)
+    assert np.array_equal(sample_kick(law, kick_stream(0, 0)), np.zeros(3))
 
 
 def test_near_untruncated_covariance_matches():
@@ -58,8 +60,8 @@ def test_near_untruncated_covariance_matches():
     n = 5
     K = diag_correlation(n, scale=1.0)
     eps = 10 * np.sqrt(np.trace(K))
-    law = make_kick_law(K, eps, seed=2, norm_samples=0)
-    rng = law.stream(1)
+    law = make_kick_law(K, eps)
+    rng = kick_stream(2, 1)
     N = 200_000
     z = rng.standard_normal((N, n)) @ np.linalg.cholesky(law.K).T
     assert np.all(np.einsum("ij,ij->i", z, z) <= eps ** 2)  # nothing rejected
@@ -70,24 +72,24 @@ def test_near_untruncated_covariance_matches():
 
 
 def test_rejection_cap_triggers():
-    law = make_kick_law(np.eye(50), 1e-6, seed=3, norm_samples=0)
+    law = make_kick_law(np.eye(50), 1e-6)
     with pytest.raises(RejectionCap):
-        sample_kick(law, law.stream(0))
+        sample_kick(law, kick_stream(3, 0))
 
 
 def _dense_law():
     A = np.random.default_rng(0).standard_normal((50, 50))
-    return make_kick_law(A @ A.T / 50 + 0.5 * np.eye(50), 8.7, seed=2, norm_samples=0)
+    return make_kick_law(A @ A.T / 50 + 0.5 * np.eye(50), 8.7)
 
 
-def _assert_truncated_covariance(law, N, alpha=1e-3):
+def _assert_truncated_covariance(law, seed, N, alpha=1e-3):
     # In K's eigen coordinates y = V^T phi the truncated covariance K_eps is
     # diagonal, with E[y_i^2; ||y|| <= eps] = lambda_i * ball_mass(lambda with
     # lambda_i listed three times), since E[g^2 f(g^2)] = E[f(chi2_3)] for g ~ N(0, 1).
     lam, V = np.linalg.eigh(law.K)
     mass = ball_mass(lam, law.eps_hat)
     exact = np.diag([l * ball_mass(np.append(lam, [l, l]), law.eps_hat) / mass for l in lam])
-    y = sample_kicks(law, law.stream(5), N) @ V
+    y = sample_kicks(law, kick_stream(seed, 5), N) @ V
     emp = y.T @ y / N
     sq = y * y
     se = np.sqrt(np.maximum(sq.T @ sq / N - emp ** 2, 0.0) / N)
@@ -101,66 +103,66 @@ def _assert_truncated_covariance(law, N, alpha=1e-3):
 def test_sample_kicks_covariance_matches_exact_truncation(ref_law):
     # acceptance ~ 0.66 (diagonal K), ~ 0.037 (eye(5), eps = 1) and the dense
     # n = 50 law (rotated by V)
-    _assert_truncated_covariance(ref_law, 200_000)
-    _assert_truncated_covariance(make_kick_law(np.eye(5), 1.0, seed=8, norm_samples=0), 100_000)
-    _assert_truncated_covariance(_dense_law(), 100_000)
+    _assert_truncated_covariance(ref_law, REF["kick_seed"], 200_000)
+    _assert_truncated_covariance(make_kick_law(np.eye(5), 1.0), 8, 100_000)
+    _assert_truncated_covariance(_dense_law(), 2, 100_000)
 
 
 def test_sample_kicks_prefix_of_longer_call(ref_law):
     # a call's kicks are the first kicks of a longer call on a fresh stream
-    for law in (ref_law, make_kick_law(np.eye(5), 1.0, seed=8, norm_samples=0)):
-        short = sample_kicks(law, law.stream(4), 40)
-        assert np.array_equal(short, sample_kicks(law, law.stream(4), 400)[:40])
+    for law, seed in ((ref_law, REF["kick_seed"]), (make_kick_law(np.eye(5), 1.0), 8)):
+        short = sample_kicks(law, kick_stream(seed, 4), 40)
+        assert np.array_equal(short, sample_kicks(law, kick_stream(seed, 4), 400)[:40])
     dense = _dense_law()
-    short = sample_kicks(dense, dense.stream(4), 40)
-    assert_allclose(short, sample_kicks(dense, dense.stream(4), 400)[:40], rtol=1e-12, atol=1e-14)
+    short = sample_kicks(dense, kick_stream(2, 4), 40)
+    assert_allclose(short, sample_kicks(dense, kick_stream(2, 4), 400)[:40], rtol=1e-12, atol=1e-14)
 
 
 def test_sample_kicks_round_cap_keeps_kicks(ref_law, monkeypatch):
     # rounds are consecutive rows of one stream, so for diagonal K the kicks
     # do not depend on how many rows a round may draw
-    low = make_kick_law(np.eye(5), 1.0, seed=8, norm_samples=0)   # acceptance ~ 0.037
-    for law in (ref_law, low):
-        whole = sample_kicks(law, law.stream(4), 500)
+    low = make_kick_law(np.eye(5), 1.0)   # acceptance ~ 0.037
+    for law, seed in ((ref_law, REF["kick_seed"]), (low, 8)):
+        whole = sample_kicks(law, kick_stream(seed, 4), 500)
         for rows in (1, 3, 64):
             monkeypatch.setattr(kk, "_ROUND_ENTRIES", rows * law.n)
-            assert np.array_equal(sample_kicks(law, law.stream(4), 500), whole)
+            assert np.array_equal(sample_kicks(law, kick_stream(seed, 4), 500), whole)
         monkeypatch.undo()
 
 
 def test_sample_kicks_default_law_n400():
     cfg = config_from_dict({"model": {"n": 400}, "kick": {"eps_hat": 0.01}})
-    law = make_kick_law(cfg.kick_matrix(), cfg.kick.eps_hat, cfg.kick.seed, norm_samples=0)
-    kicks = sample_kicks(law, law.stream(0), 2000)
+    law = make_kick_law(cfg.kick_matrix(), cfg.kick.eps_hat)
+    kicks = sample_kicks(law, kick_stream(REF["kick_seed"], 0), 2000)
     assert kicks.shape == (2000, 400)
     assert np.all(np.einsum("ij,ij->i", kicks, kicks) <= law.eps_hat ** 2)
     assert np.all(np.any(kicks != 0.0, axis=1))
 
 
 def test_sample_kicks_empty_and_degenerate():
-    law = make_kick_law(np.eye(3), 0.5, seed=0, norm_samples=0)
-    assert sample_kicks(law, law.stream(0), 0).shape == (0, 3)
-    law0 = make_kick_law(np.eye(3), 0.0, seed=0, norm_samples=0)
-    assert np.array_equal(sample_kicks(law0, law0.stream(0), 5), np.zeros((5, 3)))
+    law = make_kick_law(np.eye(3), 0.5)
+    assert sample_kicks(law, kick_stream(0, 0), 0).shape == (0, 3)
+    law0 = make_kick_law(np.eye(3), 0.0)
+    assert np.array_equal(sample_kicks(law0, kick_stream(0, 0), 5), np.zeros((5, 3)))
 
 
 def test_sample_kicks_rejection_cap():
-    law = make_kick_law(np.eye(50), 1e-6, seed=3, norm_samples=0)
+    law = make_kick_law(np.eye(50), 1e-6)
     with pytest.raises(RejectionCap):
-        sample_kicks(law, law.stream(0), 3)
+        sample_kicks(law, kick_stream(3, 0), 3)
 
 
 def test_kick_law_is_frozen():
-    law = make_kick_law(np.eye(3), 0.5, seed=0, norm_samples=0)
+    law = make_kick_law(np.eye(3), 0.5)
     with pytest.raises(FrozenInstanceError):
         law.eps_hat = 1.0
 
 
 def test_sign_symmetry():
-    law = make_kick_law(diag_correlation(4, scale=1e-2), 0.15, seed=4, norm_samples=0)
+    law = make_kick_law(diag_correlation(4, scale=1e-2), 0.15)
     # one call: its kicks are fixed by the stream, whereas successive single
     # calls on one generator also depend on how many rows each call draws
-    s = sample_kicks(law, law.stream(2), 50_000)
+    s = sample_kicks(law, kick_stream(4, 2), 50_000)
     se = s.std(axis=0, ddof=1) / np.sqrt(len(s))
     assert np.all(np.abs(s.mean(axis=0)) <= 3.2 * se)
 
@@ -203,11 +205,54 @@ def test_ball_mass_against_mc():
     assert abs(ball_mass(lam, 0.8) - emp) < 4.0 * np.sqrt(emp * (1 - emp) / 400_000)
 
 
-def test_norm_const_estimate_consistent():
-    law = make_kick_law(diag_correlation(3, scale=0.01), 0.15, seed=6, norm_samples=100_000)
-    est, se = law.norm_const_est
-    exact = ball_mass(np.diag(law.K), 0.15)
-    assert abs(est - exact) < 4 * se
+def mc_ball_mass(cov_eigs, radius, n_samples, rng):
+    """Monte Carlo P(sum lambda_i z_i^2 <= radius^2) with its standard error.
+
+    The reference for ``ball_mass``: draws scaled by sqrt(lambda), in batches
+    of at most 2^20 entries.
+    """
+    root = np.sqrt(np.asarray(cov_eigs, dtype=float))
+    batch = max(1, (1 << 20) // root.size)
+    hits = done = 0
+    while done < n_samples:
+        z = rng.standard_normal((min(batch, n_samples - done), root.size)) * root
+        hits += int(np.sum(np.einsum("ij,ij->i", z, z) <= radius ** 2))
+        done += len(z)
+    p = hits / n_samples
+    return p, np.sqrt(max(p * (1 - p), 1.0 / n_samples) / n_samples)
+
+
+def _default_kick_law(n):
+    cfg = config_from_dict({"model": {"n": n}, "kick": {"eps_hat": 0.01}})
+    return make_kick_law(cfg.kick_matrix(), cfg.kick.eps_hat)
+
+
+def _level1_projected_law(config, tmp_path):
+    pipe = Pipeline(config_from_dict(config), tmp_path)
+    K = projected_kick_covariance(pipe.cfg.kick_matrix(), pipe.ladder(), 1)
+    return projected_law(K, pipe.cfg.kick.eps_hat)
+
+
+BALL_MASS_CASES = {
+    "default-n20": lambda tmp: _default_kick_law(20),
+    "default-n150": lambda tmp: _default_kick_law(150),
+    "pipeline-n20-level1": lambda tmp: _level1_projected_law({"kick": {"eps_hat": 0.01}}, tmp),
+    "density-m2-level1": lambda tmp: _level1_projected_law(
+        {"model": {"n_unstable": 2, "b": 2.0, "spectrum_seed": 18}, "kick": {"eps_hat": 0.01}},
+        tmp),
+    "dense-n50": lambda tmp: _dense_law(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BALL_MASS_CASES))
+def test_ball_mass_against_mc_reference(case, tmp_path):
+    # the law's exact mass is what 200k untruncated draws estimate, within
+    # 4 standard errors (about 1.1e-3 each)
+    law = BALL_MASS_CASES[case](tmp_path)
+    lam = np.linalg.eigvalsh(law.K)
+    est, se = mc_ball_mass(lam, law.eps_hat, 200_000, np.random.default_rng(6))
+    assert 0.0 < est < 1.0
+    assert abs(law.mass - est) < 4 * se, (law.mass, est, se)
 
 
 def test_membership_zero_map_is_ball():
@@ -236,7 +281,7 @@ def test_membership_of_projected_samples(ref_pi, ref_law, ref_dichotomy):
     stable = dich.stable_basis
     A_op = stable.T @ ref_pi.Pi_mat @ E_unstable  # X_sigma^perp -> X_sigma, orthonormal coords
     M = build_pi_decomposition(A_op).support_quadform()
-    rng = ref_law.stream(9)
+    rng = kick_stream(REF["kick_seed"], 9)
     radius = ref_law.eps_hat * (1 + 1e-12)
     for _ in range(2000):
         phi = sample_kick(ref_law, rng)
@@ -247,7 +292,7 @@ def test_membership_of_projected_samples(ref_pi, ref_law, ref_dichotomy):
 
 def test_pushforward_covariance(ref_pi, ref_law):
     N = 100_000
-    s = sample_kicks(ref_law, ref_law.stream(10), N)
+    s = sample_kicks(ref_law, kick_stream(REF["kick_seed"], 10), N)
     pushed = s @ ref_pi.Pi_mat.T
     emp = pushed.T @ pushed / N
     truncated_cov = s.T @ s / N
@@ -263,12 +308,12 @@ def test_pushforward_identity_for_test_functions(ref_pi, ref_law):
     fs = [lambda v: np.tanh(v[0]), lambda v: np.sin(v).sum(),
           lambda v: np.clip(np.linalg.norm(v), 0, 1), lambda v: v[2] ** 2,
           lambda v: float(np.max(np.abs(v)))]
-    rng1 = ref_law.stream(11)
+    rng1 = kick_stream(REF["kick_seed"], 11)
     vals1 = []
     for _ in range(2000):
         phi = sample_kick(ref_law, rng1)
         vals1.append([f(ref_pi.Pi_mat @ phi) for f in fs])
-    rng2 = ref_law.stream(11)
+    rng2 = kick_stream(REF["kick_seed"], 11)
     vals2 = []
     for _ in range(2000):
         pushed = ref_pi.Pi_mat @ sample_kick(ref_law, rng2)
@@ -284,7 +329,7 @@ def _m0_density(cov, eps):
 
 
 def test_qnu_standard_normal_at_origin():
-    law = make_kick_law(np.eye(4), 1.0, seed=1, norm_samples=0)
+    law = make_kick_law(np.eye(4), 1.0)
     Q = np.eye(4)[:, :2]
     density, _ = _m0_density(Q.T @ law.K @ Q, law.eps_hat)
     c = 1 / ball_mass([1.0, 1.0], 1.0)
@@ -293,7 +338,7 @@ def test_qnu_standard_normal_at_origin():
 
 
 def test_qnu_gaussian_factor_integrates_to_one():
-    law = make_kick_law(np.diag([0.5, 0.2, 0.1, 0.05]), 0.8, seed=2, norm_samples=0)
+    law = make_kick_law(np.diag([0.5, 0.2, 0.1, 0.05]), 0.8)
     Q = np.eye(4)[:, :2]
     cov = Q.T @ law.K @ Q
     density, plaw = _m0_density(cov, law.eps_hat)
@@ -312,11 +357,11 @@ def test_qnu_gaussian_factor_integrates_to_one():
 
 def test_qnu_truncated_mass_matches_c_hat():
     # integral of c_hat * chi * g over the ball is 1 within 2 MC ses of c_hat
-    law = make_kick_law(np.diag([0.3, 0.15, 0.05, 0.4]), 0.7, seed=3, norm_samples=0)
+    law = make_kick_law(np.diag([0.3, 0.15, 0.05, 0.4]), 0.7)
     Q = np.eye(4)[:, :2]
     cov = Q.T @ law.K @ Q
     density, plaw = _m0_density(cov, law.eps_hat)
-    rng = law.stream(12)
+    rng = kick_stream(3, 12)
     N = 150_000
     z = rng.standard_normal((N, 4)) @ np.linalg.cholesky(law.K).T @ Q
     p_hat = float(np.mean(np.einsum("ij,ij->i", z, z) <= law.eps_hat ** 2))
@@ -336,7 +381,7 @@ def test_qnu_truncated_mass_matches_c_hat():
 def test_qnu_degenerate_covariance():
     # a near-singular projected covariance has no usable truncated law
     K = np.diag([1.0, 1e-16, 1.0])
-    law = make_kick_law(K + 1e-15 * np.eye(3), 0.5, seed=4, norm_samples=0)
+    law = make_kick_law(K + 1e-15 * np.eye(3), 0.5)
     Q = np.eye(3)[:, :2]
     with pytest.raises(DegenerateCovariance):
         projected_law(Q.T @ law.K @ Q, law.eps_hat)

@@ -667,7 +667,7 @@ def test_ladder_reconstruction(ref_ladder, ref_model):
         u = head @ (head.T @ v) + tail @ (tail.T @ v)
         assert np.linalg.norm(u - v) < 1e-10
     # unstable + middle + tail at the top level
-    E1 = ref_ladder.E_all[:, :ref_ladder.m]
+    E1 = ref_ladder.completion[:, :ref_ladder.m]
     mid = ref_ladder.mid_basis(ref_ladder.K)
     tail = ref_ladder.tail_basis(ref_ladder.K)
     u = E1 @ (E1.T @ v) + mid @ (mid.T @ v) + tail @ (tail.T @ v)
@@ -684,7 +684,7 @@ def test_ladder_defective_cluster_nested():
     def block_spectrum(H):
         return np.sort(np.linalg.eigvals(H.T @ A.T @ H).real)
 
-    assert_allclose(block_spectrum(ladder.E_all[:, :ladder.m]), [-0.5], atol=1e-12)
+    assert_allclose(block_spectrum(ladder.completion[:, :ladder.m]), [-0.5], atol=1e-12)
     for k, sk in enumerate(ladder.sigma_list, start=1):
         expected = np.sort(ev_re[ev_re < sk])
         assert ladder.n_list[k - 1] == expected.size
